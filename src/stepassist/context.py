@@ -294,11 +294,6 @@ class RemoteStructurer:
         return validate_guideline(guideline)
 
 
-def structure_guideline(raw: str, structurer) -> StructuredGuideline:
-    """Run a structurer over raw guideline text (one-time, before a session)."""
-    return structurer.structure(raw)
-
-
 def direction_name(dx: float, dy: float, stationary_threshold: float) -> str:
     """Eight-way compass name for an image-plane motion vector.
 

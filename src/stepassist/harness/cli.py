@@ -12,6 +12,7 @@ from ..trace.io import load_session, write_session
 from ..trace.synthetic import generate_synthetic, standard_script
 from .client import stream_session
 from .config import DETECTOR_KINDS, REASONER_KINDS, PipelineConfig, config_from_dict
+from .events import run_counts
 from .pipeline import replay
 from .report import format_metrics, load_report, write_report
 from .server import PipelineServer
@@ -83,8 +84,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         obj["corpus_dir"] = args.corpus
     if args.record_latency is not None:
         obj["record_latency"] = args.record_latency
-    if getattr(args, "pace", None):
-        obj["pace"] = True
     return config_from_dict(obj)
 
 
@@ -101,10 +100,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     trace = load_session(args.session)
-    log, metrics = replay(trace, cfg)
+    log, metrics = replay(trace, cfg, pace=args.pace)
     print(format_metrics(metrics))
-    deliveries = sum(1 for ev in log if ev.kind == "delivery" and ev.data.get("deliver"))
-    print(f"{'deliveries':>16}  {deliveries}")
+    print(f"{'deliveries':>16}  {run_counts(log)['deliveries']}")
     if args.out:
         path = write_report(log, metrics, args.out)
         print(f"{'report':>16}  {path}")

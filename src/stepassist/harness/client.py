@@ -5,12 +5,13 @@ import base64
 import json
 import socket
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..trace.io import annotations_to_obj
 from ..trace.pgm import write_pgm
 from ..trace.types import FrameRecord, ImuSample, SessionTrace
+from .pipeline import sensor_records
 from .server import PROTOCOL_VERSION
 
 
@@ -29,20 +30,6 @@ class StreamResult:
         return sum(
             1 for r in self.replies if r.get("type") == "ack" and r.get("of") == "pair"
         )
-
-
-def _annotations_obj(trace: SessionTrace) -> dict[str, Any]:
-    return {
-        "segments": [
-            {"start": s.start, "end": s.end, "step": s.step, "status": s.status.value}
-            for s in trace.segments
-        ],
-        "proactive_intervals": [
-            {"start": iv.start, "end": iv.end, "step": iv.step}
-            for iv in trace.proactive_intervals
-        ],
-        "hand_boxes": {str(pid): boxes for pid, boxes in trace.hand_boxes.items()},
-    }
 
 
 def record_message(record: ImuSample | FrameRecord) -> dict[str, Any]:
@@ -125,17 +112,11 @@ def stream_session(
             "pair_gap": trace.pair_gap,
         }
         if include_annotations:
-            start_msg["annotations"] = _annotations_obj(trace)
+            start_msg["annotations"] = annotations_to_obj(trace)
 
         try:
             send(start_msg)
-            prev_t: float | None = None
-            for record in trace.iter_sensor_records():
-                if pace and prev_t is not None:
-                    gap = record.timestamp - prev_t
-                    if gap > 0:
-                        time.sleep(gap)
-                prev_t = record.timestamp
+            for record in sensor_records(trace, pace=pace):
                 send(record_message(record))
             send({"type": "session_end"})
         except (BrokenPipeError, ConnectionResetError):

@@ -57,7 +57,6 @@ class PipelineConfig:
     structurer: StructurerSpec = StructurerSpec()
     corpus_dir: str | None = None
     record_latency: bool = False
-    pace: bool = False
 
     def validate(self) -> "PipelineConfig":
         """Fail fast on anything a run would only trip over mid-session."""
@@ -104,7 +103,7 @@ def config_from_dict(obj: dict[str, Any]) -> PipelineConfig:
     for key, value in obj.items():
         if key in _SECTION_TYPES:
             kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        elif key in ("corpus_dir", "record_latency", "pace"):
+        elif key in ("corpus_dir", "record_latency"):
             kwargs[key] = value
         else:
             raise ValueError(f"unknown config key {key}")

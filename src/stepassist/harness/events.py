@@ -6,6 +6,7 @@ timestamp, so a run can be replayed, diffed bit-for-bit, and scored offline.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -47,10 +48,6 @@ class EventLog:
         self.events.append(ev)
         return ev
 
-    def extend(self, events: Iterator[Event] | list[Event]) -> None:
-        for ev in events:
-            self.append(ev.kind, ev.t, **ev.data)
-
     def of_kind(self, kind: str) -> list[Event]:
         return [ev for ev in self.events if ev.kind == kind]
 
@@ -73,3 +70,15 @@ class EventLog:
     def dumps(self) -> str:
         """Canonical serialization; equal logs serialize to equal strings."""
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+
+
+def run_counts(log: EventLog) -> dict[str, int]:
+    """Tallies reported when a replayed or served session ends."""
+    kinds = Counter(ev.kind for ev in log.events)
+    return {
+        "sampled_pairs": kinds[SAMPLED_PAIR],
+        "key_moments": kinds[KEY_MOMENT],
+        "reasoned": kinds[REASONED],
+        "deliveries": sum(1 for ev in log.events if ev.kind == DELIVERY and ev.data["deliver"]),
+        "errors": kinds[ERROR],
+    }

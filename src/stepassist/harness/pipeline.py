@@ -9,10 +9,11 @@ identical event sequences by construction.
 """
 from __future__ import annotations
 
+import math
 import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from ..checker import CheckerState, DeliveryDecision, SuppressReason, update
+from ..checker import CheckerState, DeliveryDecision, update
 from ..context import (
     GuidelineCorpus,
     GuidelineFormatError,
@@ -56,6 +57,7 @@ from ..trace.types import (
     ProactiveInterval,
     SessionTrace,
     StepSegment,
+    step_vocabulary,
 )
 from .config import PipelineConfig
 from .events import (
@@ -155,11 +157,9 @@ class SessionPipeline:
         self.intervals = list(proactive_intervals)
 
         if guideline_text is None:
-            labels: list[str] = []
-            for seg in self.segments:
-                if seg.step not in labels:
-                    labels.append(seg.step)
-            guideline_text, titles = resolve_guideline(cfg, instruction, labels)
+            guideline_text, titles = resolve_guideline(
+                cfg, instruction, step_vocabulary(self.segments)
+            )
             if step_titles is None:
                 step_titles = titles
         self.guideline_text = guideline_text
@@ -184,12 +184,13 @@ class SessionPipeline:
         self._pending_a: dict[int, FrameRecord] = {}
         self._last_frame_t: float | None = None
         self._finished = False
-        self.deliveries = 0
 
     # -- feeding ---------------------------------------------------------
 
     def feed_imu(self, sample: ImuSample) -> list[Event]:
         self._check_open()
+        if not all(math.isfinite(v) for v in (sample.timestamp, sample.gx, sample.gy, sample.gz)):
+            raise ValueError(f"imu sample at t={sample.timestamp} has a non-finite field")
         if self.imu and sample.timestamp < self.imu[-1].timestamp:
             raise ValueError("imu samples must arrive in timestamp order")
         self.imu.append(sample)
@@ -197,6 +198,8 @@ class SessionPipeline:
 
     def feed_frame(self, frame: FrameRecord) -> list[Event]:
         self._check_open()
+        if not math.isfinite(frame.timestamp):
+            raise ValueError(f"frame {frame.pair_id}{frame.slot} has non-finite timestamp")
         if self._last_frame_t is not None and frame.timestamp <= self._last_frame_t:
             raise ValueError("frames must arrive in strictly increasing order")
         self._last_frame_t = frame.timestamp
@@ -376,10 +379,25 @@ class SessionPipeline:
         }
         if decision.deliver:
             data["response"] = decision.response
-            self.deliveries += 1
         else:
             data["suppress_reason"] = decision.suppress_reason.value
         self.log.append(DELIVERY, t, **data)
+
+
+def sensor_records(
+    trace: SessionTrace, *, pace: bool = False
+) -> Iterator[ImuSample | FrameRecord]:
+    """The trace's sensor records in feed order.
+
+    With ``pace`` each record is held back until its recorded gap from the
+    previous one has passed in wall-clock time.
+    """
+    prev_t: float | None = None
+    for record in trace.iter_sensor_records():
+        if pace and prev_t is not None and record.timestamp > prev_t:
+            time.sleep(record.timestamp - prev_t)
+        prev_t = record.timestamp
+        yield record
 
 
 def replay(
@@ -388,13 +406,14 @@ def replay(
     *,
     reasoner: Reasoner | None = None,
     detector: HandDetector | None = None,
+    pace: bool = False,
 ) -> tuple[EventLog, MetricsReport]:
     """Run the whole pipeline over a recorded session and score it.
 
     The simulated clock is the trace's own timeline: records are fed in
     timestamp order and each scheduled pair resolves as soon as its inputs
-    exist. With ``cfg.pace`` the feed additionally sleeps out the recorded
-    gaps in wall-clock time (demo mode; scoring is unaffected).
+    exist. With ``pace`` the feed additionally sleeps out the recorded gaps
+    in wall-clock time (demo mode; scoring is unaffected).
     """
     engine = SessionPipeline(
         cfg,
@@ -405,13 +424,7 @@ def replay(
         reasoner=reasoner,
         detector=detector,
     )
-    prev_t: float | None = None
-    for record in trace.iter_sensor_records():
-        if cfg.pace and prev_t is not None:
-            gap = record.timestamp - prev_t
-            if gap > 0:
-                time.sleep(gap)
-        prev_t = record.timestamp
+    for record in sensor_records(trace, pace=pace):
         if isinstance(record, ImuSample):
             engine.feed_imu(record)
         else:
@@ -425,5 +438,6 @@ __all__ = [
     "build_detector",
     "replay",
     "resolve_guideline",
+    "sensor_records",
     "synthesize_guideline",
 ]

@@ -28,16 +28,11 @@ import socketserver
 import threading
 from typing import Any
 
+from ..trace.io import annotations_from_obj
 from ..trace.pgm import read_pgm
-from ..trace.types import (
-    ExecutionStatus,
-    FrameRecord,
-    ImuSample,
-    ProactiveInterval,
-    StepSegment,
-)
+from ..trace.types import FrameRecord, ImuSample
 from .config import PipelineConfig
-from .events import DELIVERY, ERROR, KEY_MOMENT, REASONED, SAMPLED_PAIR, Event, EventLog
+from .events import DELIVERY, Event, EventLog, run_counts
 from .pipeline import SessionPipeline
 
 PROTOCOL_VERSION = 1
@@ -49,30 +44,6 @@ BAD_STREAM = "bad_stream"
 NO_SESSION = "no_session"
 SESSION_ACTIVE = "session_active"
 PROTOCOL_MISMATCH = "protocol_version"
-
-
-def _parse_annotations(
-    ann: dict[str, Any],
-) -> tuple[list[StepSegment], list[ProactiveInterval], dict[int, list]]:
-    segments = [
-        StepSegment(
-            start=float(s["start"]),
-            end=float(s["end"]),
-            step=str(s["step"]),
-            status=ExecutionStatus.parse(s["status"]),
-        )
-        for s in ann.get("segments", [])
-    ]
-    intervals = [
-        ProactiveInterval(
-            start=float(iv["start"]), end=float(iv["end"]), step=str(iv["step"])
-        )
-        for iv in ann.get("proactive_intervals", [])
-    ]
-    hand_boxes = {
-        int(pid): list(boxes) for pid, boxes in (ann.get("hand_boxes") or {}).items()
-    }
-    return segments, intervals, hand_boxes
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -146,8 +117,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 f"configuration {owner.cfg.sampler.pair_gap}",
             )
             return True
-        ann = msg.get("annotations") or {}
-        segments, intervals, hand_boxes = _parse_annotations(ann)
+        segments, intervals, hand_boxes = annotations_from_obj(msg.get("annotations") or {})
         self.engine = SessionPipeline(
             owner.cfg,
             instruction=str(msg["instruction"]),
@@ -192,14 +162,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def _on_session_end(self, owner: "PipelineServer") -> None:
         engine = self.engine
         self._push_assists(engine.finish())
-        counts = {
-            "pairs": len(engine.pairs),
-            "sampled_pairs": len(engine.log.of_kind(SAMPLED_PAIR)),
-            "key_moments": len(engine.log.of_kind(KEY_MOMENT)),
-            "reasoned": len(engine.log.of_kind(REASONED)),
-            "deliveries": engine.deliveries,
-            "errors": len(engine.log.of_kind(ERROR)),
-        }
+        counts = {"pairs": len(engine.pairs), **run_counts(engine.log)}
         owner.store_log(self.session_id, engine.log)
         self.engine = None
         self.session_id = None

@@ -42,11 +42,9 @@ def align(log: EventLog, trace: SessionTrace) -> list[MomentRecord]:
     for ev in log.of_kind(REASONED):
         t = ev.t
         seg = trace.segment_at(t)
-        interval_id = None
-        for i, iv in enumerate(trace.proactive_intervals):
-            if iv.contains(t):
-                interval_id = i
-                break
+        need = trace.need_at(t)
+        # equal intervals contain the same t, so index() finds the first container
+        interval_id = None if need is None else trace.proactive_intervals.index(need)
         records.append(
             MomentRecord(
                 timestamp=t,

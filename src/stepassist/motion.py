@@ -28,22 +28,12 @@ Region = tuple[int, int, int, int]  # x, y, w, h
 class FlowConfig:
     block: int = 8
     search_radius: int = 7
-    grid_stride: int | None = None  # defaults to block (non-overlapping grid)
-    cost: str = "sad"
 
     def __post_init__(self) -> None:
         if self.block < 2:
             raise ValueError(f"block size must be at least 2, got {self.block}")
         if self.search_radius < 1:
             raise ValueError(f"search radius must be at least 1, got {self.search_radius}")
-        if self.grid_stride is not None and self.grid_stride < 1:
-            raise ValueError(f"grid stride must be at least 1, got {self.grid_stride}")
-        if self.cost != "sad":
-            raise ValueError(f"unsupported cost {self.cost!r} (only 'sad')")
-
-    @property
-    def stride(self) -> int:
-        return self.grid_stride if self.grid_stride is not None else self.block
 
 
 @dataclass(frozen=True)
@@ -62,9 +52,9 @@ class FlowSummary:
             raise ValueError("flow magnitude inconsistent with components")
 
 
-def _block_starts(extent: int, block: int, stride: int) -> list[int]:
-    """Grid offsets covering [0, extent): stride steps plus a clamped tail."""
-    starts = list(range(0, extent - block + 1, stride))
+def _block_starts(extent: int, block: int) -> list[int]:
+    """Grid offsets covering [0, extent): block steps plus a clamped tail."""
+    starts = list(range(0, extent - block + 1, block))
     if starts[-1] + block < extent:
         starts.append(extent - block)
     return starts
@@ -104,8 +94,8 @@ def estimate_flow(
     sum_dy = 0.0
     used = 0
     total = 0
-    for oy in _block_starts(h, bs, cfg.stride):
-        for ox in _block_starts(w, bs, cfg.stride):
+    for oy in _block_starts(h, bs):
+        for ox in _block_starts(w, bs):
             bx, by = x + ox, y + oy
             total += 1
             block = a[by : by + bs, bx : bx + bs]

@@ -22,6 +22,7 @@ from .trace.types import (
     ProactiveInterval,
     SessionTrace,
     StepSegment,
+    step_vocabulary,
 )
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "UnknownStatusError",
     "assemble_prompt",
     "parse_output",
-    "scripted_oracle",
 ]
 
 PROMPT_TEMPLATE = (
@@ -226,10 +226,8 @@ class OracleReasoner:
         self.segments = sorted(segments, key=lambda s: s.start)
         self.intervals = list(proactive_intervals)
         self.cfg = cfg
-        self.step_labels: list[str] = []
-        for seg in self.segments:
-            if seg.step not in self.step_labels:
-                self.step_labels.append(seg.step)
+        # corruption picks from this order, so it follows the start-sorted segments
+        self.step_labels = step_vocabulary(self.segments)
         self._starts = [s.start for s in self.segments]
 
     @classmethod
@@ -268,11 +266,6 @@ class OracleReasoner:
 
     def reason(self, inp: ReasonerInput) -> ReasonerOutput:
         return self.reason_at(inp.timestamp)
-
-
-def scripted_oracle(trace: SessionTrace, cfg: OracleConfig, t: float) -> ReasonerOutput:
-    """One-off oracle call; equivalent to OracleReasoner.from_trace(...).reason_at(t)."""
-    return OracleReasoner.from_trace(trace, cfg).reason_at(t)
 
 
 class RemoteReasonerError(RuntimeError):

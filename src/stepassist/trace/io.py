@@ -55,6 +55,64 @@ def _load_json(path: Path) -> Any:
         _fail(path, f"invalid JSON ({exc.msg})", line=exc.lineno)
 
 
+def annotations_to_obj(trace: SessionTrace) -> dict[str, Any]:
+    """JSON form of a session's annotations, as in annotations.json and session_start."""
+    return {
+        "segments": [
+            {"start": s.start, "end": s.end, "step": s.step, "status": s.status.value}
+            for s in trace.segments
+        ],
+        "proactive_intervals": [
+            {"start": iv.start, "end": iv.end, "step": iv.step}
+            for iv in trace.proactive_intervals
+        ],
+        "hand_boxes": {str(pid): boxes for pid, boxes in sorted(trace.hand_boxes.items())},
+    }
+
+
+def annotations_from_obj(
+    obj: Any,
+) -> tuple[list[StepSegment], list[ProactiveInterval], dict[int, list[dict[str, Any]]]]:
+    """Inverse of annotations_to_obj: (segments, proactive intervals, hand boxes).
+
+    Raises SessionFormatError naming the malformed entry, e.g. ``segment 2: ...``.
+    """
+    if not isinstance(obj, dict):
+        raise SessionFormatError("annotations must be a JSON object")
+    segments: list[StepSegment] = []
+    for i, entry in enumerate(obj.get("segments") or []):
+        try:
+            segments.append(
+                StepSegment(
+                    start=float(entry["start"]),
+                    end=float(entry["end"]),
+                    step=str(entry["step"]),
+                    status=ExecutionStatus.parse(entry["status"]),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SessionFormatError(f"segment {i}: {exc}") from None
+    intervals: list[ProactiveInterval] = []
+    for i, entry in enumerate(obj.get("proactive_intervals") or []):
+        try:
+            intervals.append(
+                ProactiveInterval(
+                    start=float(entry["start"]),
+                    end=float(entry["end"]),
+                    step=str(entry["step"]),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SessionFormatError(f"proactive interval {i}: {exc}") from None
+    hand_boxes: dict[int, list[dict[str, Any]]] = {}
+    for key, boxes in (obj.get("hand_boxes") or {}).items():
+        try:
+            hand_boxes[int(key)] = [dict(b) for b in boxes]
+        except (TypeError, ValueError) as exc:
+            raise SessionFormatError(f"hand_boxes[{key!r}]: {exc}") from None
+    return segments, intervals, hand_boxes
+
+
 def load_session(path: str | Path) -> SessionTrace:
     """Load and validate a session directory.
 
@@ -116,38 +174,11 @@ def load_session(path: str | Path) -> SessionTrace:
                 _fail(imu_path, f"non-numeric field in {row!r}", line=lineno)
             imu.append(ImuSample(t, gx, gy, gz))
 
-    ann = _load_json(root / "annotations.json")
-    segments: list[StepSegment] = []
-    for i, entry in enumerate(ann.get("segments", [])):
-        try:
-            segments.append(
-                StepSegment(
-                    start=float(entry["start"]),
-                    end=float(entry["end"]),
-                    step=str(entry["step"]),
-                    status=ExecutionStatus.parse(entry["status"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(root / "annotations.json", f"segment {i}: {exc}")
-    intervals: list[ProactiveInterval] = []
-    for i, entry in enumerate(ann.get("proactive_intervals", [])):
-        try:
-            intervals.append(
-                ProactiveInterval(
-                    start=float(entry["start"]),
-                    end=float(entry["end"]),
-                    step=str(entry["step"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(root / "annotations.json", f"proactive interval {i}: {exc}")
-    hand_boxes: dict[int, list[dict[str, Any]]] = {}
-    for key, boxes in ann.get("hand_boxes", {}).items():
-        try:
-            hand_boxes[int(key)] = [dict(b) for b in boxes]
-        except (TypeError, ValueError) as exc:
-            _fail(root / "annotations.json", f"hand_boxes[{key!r}]: {exc}")
+    ann_path = root / "annotations.json"
+    try:
+        segments, intervals, hand_boxes = annotations_from_obj(_load_json(ann_path))
+    except SessionFormatError as exc:
+        _fail(ann_path, str(exc))
 
     trace = SessionTrace(
         instruction=str(manifest["instruction"]),
@@ -191,6 +222,8 @@ def validate_session(trace: SessionTrace) -> ValidationReport:
                 f"frame {i} (pair {fr.pair_id}{fr.slot}) has shape "
                 f"{fr.image.shape[::-1]}, manifest says {trace.width}x{trace.height}",
             )
+        if not math.isfinite(fr.timestamp):
+            rep.add("frame_nonfinite", f"frame {i} has non-finite timestamp {fr.timestamp}")
         if fr.timestamp < 0:
             rep.add("negative_timestamp", f"frame {i} at t={fr.timestamp} before session start")
         if prev_t is not None and fr.timestamp <= prev_t:
@@ -333,16 +366,6 @@ def write_session(trace: SessionTrace, path: str | Path) -> Path:
         for s in trace.imu:
             writer.writerow([repr(s.timestamp), repr(s.gx), repr(s.gy), repr(s.gz)])
 
-    ann = {
-        "segments": [
-            {"start": s.start, "end": s.end, "step": s.step, "status": s.status.value}
-            for s in trace.segments
-        ],
-        "proactive_intervals": [
-            {"start": iv.start, "end": iv.end, "step": iv.step}
-            for iv in trace.proactive_intervals
-        ],
-        "hand_boxes": {str(pid): boxes for pid, boxes in sorted(trace.hand_boxes.items())},
-    }
+    ann = annotations_to_obj(trace)
     (root / "annotations.json").write_text(json.dumps(ann, indent=2) + "\n", encoding="utf-8")
     return root

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -109,6 +109,11 @@ class ProactiveInterval:
         return self.start <= t < self.end
 
 
+def step_vocabulary(segments: Iterable[StepSegment]) -> list[str]:
+    """Unique step labels in order of first appearance."""
+    return list(dict.fromkeys(seg.step for seg in segments))
+
+
 @dataclass
 class SessionTrace:
     """A fully loaded session.
@@ -162,11 +167,7 @@ class SessionTrace:
 
     def step_labels(self) -> list[str]:
         """Unique step labels in order of first appearance in the segments."""
-        seen: list[str] = []
-        for seg in self.segments:
-            if seg.step not in seen:
-                seen.append(seg.step)
-        return seen
+        return step_vocabulary(self.segments)
 
     def iter_sensor_records(self) -> Iterator[ImuSample | FrameRecord]:
         """All sensor records merged in timestamp order (imu before frames on ties)."""

@@ -20,10 +20,12 @@ from stepassist.harness.events import (
     TRANSITION,
     EventLog,
 )
+from stepassist.harness import pipeline as pipeline_module
 from stepassist.harness.pipeline import (
     SessionPipeline,
     replay,
     resolve_guideline,
+    sensor_records,
     synthesize_guideline,
 )
 from stepassist.harness.report import (
@@ -125,6 +127,15 @@ def test_incremental_feeding_accumulates_one_log(shelf_trace):
 
     batch_log, _ = replay(shelf_trace, fixture_config())
     assert engine.log.dumps() == batch_log.dumps()
+
+
+def test_paced_records_sleep_out_the_recorded_gaps(shelf_trace, monkeypatch):
+    slept = []
+    monkeypatch.setattr(pipeline_module.time, "sleep", slept.append)
+    records = list(sensor_records(shelf_trace, pace=True))
+    assert records == list(shelf_trace.iter_sensor_records())
+    assert all(gap > 0 for gap in slept)
+    assert sum(slept) == pytest.approx(records[-1].timestamp - records[0].timestamp)
 
 
 def bare_engine() -> SessionPipeline:
@@ -351,6 +362,13 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"sampler": {"tau": 0.3}})
     with pytest.raises(ValueError, match="unknown config key reasoner.oracle.rate"):
         config_from_dict({"reasoner": {"oracle": {"rate": 0.5}}})
+    # removed knobs: pacing is a replay/send argument, flow has one grid and one cost
+    with pytest.raises(ValueError, match="unknown config key pace"):
+        config_from_dict({"pace": True})
+    with pytest.raises(ValueError, match="unknown config key flow.cost"):
+        config_from_dict({"flow": {"cost": "sad"}})
+    with pytest.raises(ValueError, match="unknown config key flow.grid_stride"):
+        config_from_dict({"flow": {"grid_stride": 4}})
 
 
 def test_config_validation_failures(tmp_path):

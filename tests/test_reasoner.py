@@ -21,7 +21,6 @@ from stepassist.reasoner import (
     UnknownStatusError,
     assemble_prompt,
     parse_output,
-    scripted_oracle,
 )
 from stepassist.reasoner import flag_off_guideline
 from stepassist.trace.pgm import read_pgm
@@ -170,7 +169,7 @@ def test_oracle_corruption_depends_only_on_seed_and_timestamp(steady_trace):
         b.reason_at(t + 0.25)  # interleaved extra calls must not shift outcomes
     for t in (0.0, 1.0, 2.0, 33.5):
         assert a.reason_at(t) == b.reason_at(t)
-        assert a.reason_at(t) == scripted_oracle(steady_trace, cfg, t)
+        assert a.reason_at(t) == OracleReasoner.from_trace(steady_trace, cfg).reason_at(t)
 
 
 def test_oracle_corruption_sets_are_frozen(steady_trace):

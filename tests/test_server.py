@@ -235,6 +235,36 @@ def test_corrupt_stream_drops_the_session(server):
         assert recv()["code"] == "no_session"
 
 
+def test_non_finite_records_are_stream_faults(server):
+    pgm = base64.b64encode(write_pgm(np.zeros((8, 8), dtype=np.uint8))).decode()
+    bad_records = (
+        b'{"type": "imu", "t": NaN, "gx": 0.0, "gy": 0.0, "gz": 0.0}',
+        b'{"type": "imu", "t": 0.0, "gx": Infinity, "gy": 0.0, "gz": 0.0}',
+        b'{"type": "frame", "t": NaN, "pair": 0, "slot": "a", "data": "%s"}' % pgm.encode(),
+    )
+    with raw_client(server) as (send, recv):
+        for record in bad_records:
+            send(start_message())
+            assert recv()["of"] == "session_start"
+            send(record)
+            err = recv()
+            assert err["code"] == "bad_stream" and "non-finite" in err["detail"]
+        send(start_message())  # the connection is still usable
+        assert recv()["of"] == "session_start"
+
+
+def test_malformed_annotation_segment_is_a_stream_fault(server):
+    bad = dict(SEGMENT_ANN, segments=[dict(SEGMENT_ANN["segments"][0], status="half_done")])
+    with raw_client(server) as (send, recv):
+        send(start_message(annotations=bad))
+        err = recv()
+        assert err["code"] == "bad_stream" and "segment 0:" in err["detail"]
+        send(start_message())
+        assert recv()["of"] == "session_start"
+        send({"type": "session_end"})
+        assert recv()["of"] == "session_end"
+
+
 def test_frame_geometry_mismatch_is_a_stream_fault(server):
     with raw_client(server) as (send, recv):
         send(start_message())

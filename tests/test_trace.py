@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from stepassist.trace.io import (
     SessionFormatError,
+    annotations_from_obj,
+    annotations_to_obj,
     frame_file_name,
     load_session,
     validate_session,
@@ -103,6 +106,26 @@ def test_write_then_load_round_trips(tmp_path, standard_trace):
     assert loaded.hand_boxes == standard_trace.hand_boxes
 
 
+def test_annotation_codec_round_trips(standard_trace):
+    obj = json.loads(json.dumps(annotations_to_obj(standard_trace)))
+    segments, intervals, hand_boxes = annotations_from_obj(obj)
+    assert segments == standard_trace.segments
+    assert intervals == standard_trace.proactive_intervals
+    assert hand_boxes and hand_boxes == standard_trace.hand_boxes
+    assert all(isinstance(pid, int) for pid in hand_boxes)
+
+
+def test_load_names_the_malformed_annotation_segment(tmp_path):
+    root = write_session(generate_synthetic(small_script()), tmp_path / "sess")
+    ann_path = root / "annotations.json"
+    ann = json.loads(ann_path.read_text())
+    ann["segments"][1]["status"] = "half_done"
+    ann_path.write_text(json.dumps(ann))
+    with pytest.raises(SessionFormatError) as err:
+        load_session(root)
+    assert "annotations.json: segment 1:" in str(err.value)
+
+
 def test_frame_file_name_padding():
     assert frame_file_name(7, "a") == "000007_a.pgm"
     assert frame_file_name(123456, "b") == "123456_b.pgm"
@@ -183,6 +206,14 @@ def test_frame_order_and_duplicates_flagged():
     f0 = tr.frames[0]
     tr.frames[1] = FrameRecord(f0.timestamp + 1e-4, f0.pair_id, "a", f0.image)
     assert "duplicate_frame" in kinds(tr)
+
+
+def test_non_finite_frame_timestamp_flagged():
+    tr = valid_trace()
+    f = tr.frames[2]
+    tr.frames[2] = FrameRecord(math.nan, f.pair_id, f.slot, f.image)
+    # NaN slips past every ordering and gap comparison, so only this check sees it
+    assert kinds(tr) == {"frame_nonfinite"}
 
 
 def test_incomplete_pair_flagged():
