@@ -308,55 +308,30 @@ def direction_name(dx: float, dy: float, stationary_threshold: float) -> str:
     return DIRECTIONS[sector]
 
 
-@dataclass(frozen=True)
-class MotionEntry:
-    side: str
-    direction: str
-    magnitude: float
-
-
-@dataclass(frozen=True)
-class HandMotionCue:
-    entries: tuple[MotionEntry, ...]
-    rendered: str
-
-
-def _clause(noun: str, direction: str) -> str:
-    if direction == STATIONARY:
-        return f"the {noun} remains almost stationary"
-    return f"the {noun} is moving {direction}"
+_NOUNS = {"left": "left hand", "right": "right hand", "scene": "camera view"}
 
 
 def textualize_motion(
-    hand_flows: dict[str, FlowSummary],
-    stationary_threshold: float = 1.0,
-    scene_flow: FlowSummary | None = None,
-) -> HandMotionCue:
-    """Render per-hand flow into the prompt's motion-cue sentence.
+    flows: dict[str, FlowSummary], stationary_threshold: float = 1.0
+) -> str:
+    """Render a key moment's flows into the prompt's motion-cue sentence.
 
-    Every detected hand is mentioned exactly once, in the order given (the
-    detector orders left to right). Without hands, the full-frame flow is
-    described as camera motion.
+    Every entry is mentioned exactly once, in the order given (the detector
+    orders hands left to right); a ``"scene"`` entry, measured when no hand
+    is tracked, is described as camera motion.
     """
-    entries: list[MotionEntry] = []
-    clauses: list[str] = []
-    for side, flow in hand_flows.items():
+    clauses = []
+    for side, flow in flows.items():
         direction = direction_name(flow.dx, flow.dy, stationary_threshold)
-        entries.append(MotionEntry(side=side, direction=direction, magnitude=flow.magnitude))
-        noun = f"{side} hand" if side in ("left", "right") else "hand"
-        clauses.append(_clause(noun, direction))
-    if not clauses and scene_flow is not None:
-        direction = direction_name(scene_flow.dx, scene_flow.dy, stationary_threshold)
-        entries.append(
-            MotionEntry(side="scene", direction=direction, magnitude=scene_flow.magnitude)
-        )
-        clauses.append(_clause("camera view", direction))
+        if direction == STATIONARY:
+            action = "remains almost stationary"
+        else:
+            action = f"is moving {direction}"
+        clauses.append(f"the {_NOUNS.get(side, 'hand')} {action}")
     if not clauses:
-        rendered = "No hand or scene motion information is available."
-    else:
-        rendered = ", ".join(clauses) + "."
-        rendered = rendered[0].upper() + rendered[1:]
-    return HandMotionCue(entries=tuple(entries), rendered=rendered)
+        return "No hand or scene motion information is available."
+    rendered = ", ".join(clauses) + "."
+    return rendered[0].upper() + rendered[1:]
 
 
 @dataclass(frozen=True)

@@ -18,72 +18,55 @@ from .report import format_metrics, load_report, write_report
 from .server import PipelineServer
 
 
+# (flag, config path, argparse kwargs); the path is also the flag's dest
+_CONFIG_FLAGS: list[tuple[str, str, dict]] = [
+    ("--tau-s", "sampler.tau_s", {"type": float, "help": "Head-motion burst threshold"}),
+    ("--normal-interval", "sampler.normal_interval", {"type": float}),
+    ("--burst-interval", "sampler.burst_interval", {"type": float}),
+    ("--smoothing-window", "sampler.smoothing_window", {"type": float}),
+    ("--pair-gap", "sampler.pair_gap", {"type": float}),
+    ("--tau-f", "key_moment.tau_f", {"type": float, "help": "Key-moment flow threshold"}),
+    ("--stationary-threshold", "key_moment.stationary_threshold", {"type": float}),
+    ("--block", "flow.block", {"type": int, "help": "Flow block size"}),
+    ("--search-radius", "flow.search_radius", {"type": int}),
+    ("--window", "checker.window", {"type": int, "help": "Consistency window size"}),
+    ("--tau-c", "checker.tau_c", {"type": float, "help": "Dominance ratio for a step switch"}),
+    ("--min-window", "checker.min_window", {"type": int}),
+    ("--reasoner", "reasoner.kind", {"choices": REASONER_KINDS}),
+    ("--endpoint", "reasoner.endpoint", {"help": "Chat-completion endpoint URL"}),
+    ("--model", "reasoner.model", {}),
+    ("--detector", "detector.kind", {"choices": DETECTOR_KINDS}),
+    ("--corpus", "corpus_dir", {"help": "Guideline corpus directory"}),
+    ("--step-error-rate", "reasoner.oracle.step_error_rate", {"type": float}),
+    ("--status-error-rate", "reasoner.oracle.status_error_rate", {"type": float}),
+    ("--flip-rate", "reasoner.oracle.proactive_flip_rate",
+     {"type": float, "help": "Oracle proactive flip rate"}),
+    ("--oracle-seed", "reasoner.oracle.seed", {"type": int}),
+    ("--record-latency", "record_latency",
+     {"action": "store_const", "const": True,
+      "help": "Record wall-clock stage latencies in the event log"}),
+]
+
+
 def _add_config_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--config", default=None, help="Pipeline config JSON file")
-    ap.add_argument("--tau-s", type=float, default=None, help="Head-motion burst threshold")
-    ap.add_argument("--normal-interval", type=float, default=None)
-    ap.add_argument("--burst-interval", type=float, default=None)
-    ap.add_argument("--smoothing-window", type=float, default=None)
-    ap.add_argument("--pair-gap", type=float, default=None)
-    ap.add_argument("--tau-f", type=float, default=None, help="Key-moment flow threshold")
-    ap.add_argument("--stationary-threshold", type=float, default=None)
-    ap.add_argument("--block", type=int, default=None, help="Flow block size")
-    ap.add_argument("--search-radius", type=int, default=None)
-    ap.add_argument("--window", type=int, default=None, help="Consistency window size")
-    ap.add_argument("--tau-c", type=float, default=None, help="Dominance ratio for a step switch")
-    ap.add_argument("--min-window", type=int, default=None)
-    ap.add_argument("--reasoner", choices=REASONER_KINDS, default=None)
-    ap.add_argument("--endpoint", default=None, help="Chat-completion endpoint URL")
-    ap.add_argument("--model", default=None)
-    ap.add_argument("--detector", choices=DETECTOR_KINDS, default=None)
-    ap.add_argument("--corpus", default=None, help="Guideline corpus directory")
-    ap.add_argument("--step-error-rate", type=float, default=None)
-    ap.add_argument("--status-error-rate", type=float, default=None)
-    ap.add_argument("--flip-rate", type=float, default=None, help="Oracle proactive flip rate")
-    ap.add_argument("--oracle-seed", type=int, default=None)
-    ap.add_argument(
-        "--record-latency", action="store_const", const=True, default=None,
-        help="Record wall-clock stage latencies in the event log",
-    )
+    for flag, path, kwargs in _CONFIG_FLAGS:
+        ap.add_argument(flag, dest=path, default=None, **kwargs)
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
+    """The ``--config`` file (if any) with every given flag laid over it."""
     obj: dict = {}
     if args.config:
         obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
-
-    def put(section: str, key: str, value) -> None:
+    for _, path, _ in _CONFIG_FLAGS:
+        value = getattr(args, path)
         if value is not None:
-            obj.setdefault(section, {})[key] = value
-
-    put("sampler", "tau_s", args.tau_s)
-    put("sampler", "normal_interval", args.normal_interval)
-    put("sampler", "burst_interval", args.burst_interval)
-    put("sampler", "smoothing_window", args.smoothing_window)
-    put("sampler", "pair_gap", args.pair_gap)
-    put("key_moment", "tau_f", args.tau_f)
-    put("key_moment", "stationary_threshold", args.stationary_threshold)
-    put("flow", "block", args.block)
-    put("flow", "search_radius", args.search_radius)
-    put("checker", "window", args.window)
-    put("checker", "tau_c", args.tau_c)
-    put("checker", "min_window", args.min_window)
-    put("reasoner", "kind", args.reasoner)
-    put("reasoner", "endpoint", args.endpoint)
-    put("reasoner", "model", args.model)
-    put("detector", "kind", args.detector)
-    if args.step_error_rate is not None:
-        obj.setdefault("reasoner", {}).setdefault("oracle", {})["step_error_rate"] = args.step_error_rate
-    if args.status_error_rate is not None:
-        obj.setdefault("reasoner", {}).setdefault("oracle", {})["status_error_rate"] = args.status_error_rate
-    if args.flip_rate is not None:
-        obj.setdefault("reasoner", {}).setdefault("oracle", {})["proactive_flip_rate"] = args.flip_rate
-    if args.oracle_seed is not None:
-        obj.setdefault("reasoner", {}).setdefault("oracle", {})["seed"] = args.oracle_seed
-    if args.corpus is not None:
-        obj["corpus_dir"] = args.corpus
-    if args.record_latency is not None:
-        obj["record_latency"] = args.record_latency
+            *sections, key = path.split(".")
+            node = obj
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = value
     return config_from_dict(obj)
 
 

@@ -47,6 +47,7 @@ from ..reasoner import (
     Reasoner,
     ReasonerInput,
     RemoteReasoner,
+    RemoteReasonerError,
     flag_off_guideline,
 )
 from ..trace.io import frame_file_name
@@ -146,9 +147,6 @@ class SessionPipeline:
         proactive_intervals: Sequence[ProactiveInterval] = (),
         hand_boxes: dict | None = None,
         reasoner: Reasoner | None = None,
-        detector: HandDetector | None = None,
-        guideline_text: str | None = None,
-        step_titles: Sequence[str] | None = None,
     ):
         cfg.validate()
         self.cfg = cfg
@@ -156,14 +154,9 @@ class SessionPipeline:
         self.segments = list(segments)
         self.intervals = list(proactive_intervals)
 
-        if guideline_text is None:
-            guideline_text, titles = resolve_guideline(
-                cfg, instruction, step_vocabulary(self.segments)
-            )
-            if step_titles is None:
-                step_titles = titles
-        self.guideline_text = guideline_text
-        self.step_titles = list(step_titles or [])
+        self.guideline_text, self.step_titles = resolve_guideline(
+            cfg, instruction, step_vocabulary(self.segments)
+        )
 
         if reasoner is None:
             if cfg.reasoner.kind == "oracle":
@@ -173,7 +166,7 @@ class SessionPipeline:
                     cfg.reasoner.endpoint, cfg.reasoner.model, cfg.reasoner.timeout
                 )
         self.reasoner = reasoner
-        self.detector = detector if detector is not None else build_detector(cfg, hand_boxes)
+        self.detector = build_detector(cfg, hand_boxes)
 
         self.log = EventLog()
         self.sampler_state = SamplerState()
@@ -287,31 +280,15 @@ class SessionPipeline:
         if moment is None:
             return self.log.events[before:]
 
-        cue = textualize_motion(
-            moment.hand_flows,
-            self.cfg.key_moment.stationary_threshold,
-            scene_flow=moment.scene_flow,
-        )
+        motion_text = textualize_motion(moment.flows, self.cfg.key_moment.stationary_threshold)
         key_data = {
             "pair": pair.pair_id,
             "trigger_magnitude": moment.trigger_magnitude,
             "flows": [
                 {"side": side, "dx": f.dx, "dy": f.dy, "magnitude": f.magnitude}
-                for side, f in moment.hand_flows.items()
-            ]
-            + (
-                [
-                    {
-                        "side": "scene",
-                        "dx": moment.scene_flow.dx,
-                        "dy": moment.scene_flow.dy,
-                        "magnitude": moment.scene_flow.magnitude,
-                    }
-                ]
-                if moment.scene_flow is not None
-                else []
-            ),
-            "motion_text": cue.rendered,
+                for side, f in moment.flows.items()
+            ],
+            "motion_text": motion_text,
         }
         if self.cfg.record_latency:
             key_data["flow_seconds"] = flow_seconds
@@ -321,12 +298,19 @@ class SessionPipeline:
             timestamp=pair.t,
             guideline_text=self.guideline_text,
             history_text=render_progress(self.checker_state.history),
-            motion_text=cue.rendered,
+            motion_text=motion_text,
             image_ref=frame_file_name(pair.pair_id, "b"),
             image=pair.frame_b.image,
         )
         reason_started = time.perf_counter()
-        out = self.reasoner.reason(inp)
+        try:
+            out = self.reasoner.reason(inp)
+        except RemoteReasonerError as exc:
+            # moment dropped whole, like a malformed reply
+            self.log.append(
+                ERROR, pair.t, code="reasoner_unavailable", detail=str(exc), pair=pair.pair_id
+            )
+            return self.log.events[before:]
         reason_seconds = time.perf_counter() - reason_started
 
         if isinstance(out, MalformedOutput):
@@ -405,7 +389,6 @@ def replay(
     cfg: PipelineConfig = PipelineConfig(),
     *,
     reasoner: Reasoner | None = None,
-    detector: HandDetector | None = None,
     pace: bool = False,
 ) -> tuple[EventLog, MetricsReport]:
     """Run the whole pipeline over a recorded session and score it.
@@ -422,7 +405,6 @@ def replay(
         proactive_intervals=trace.proactive_intervals,
         hand_boxes=trace.hand_boxes,
         reasoner=reasoner,
-        detector=detector,
     )
     for record in sensor_records(trace, pace=pace):
         if isinstance(record, ImuSample):

@@ -17,7 +17,8 @@ delivered response:
     {"type": "assist", "t": T, "step": "...", "status": "...", "text": "..."}
 
 Protocol faults come back as {"type": "error", "code": ..., "detail": ...};
-only a protocol version mismatch closes the connection. Each connection is
+any other fault in the engine drops the session with code ``internal``.
+Only a protocol version mismatch closes the connection. Each connection is
 its own pipeline, so concurrent clients never share state.
 """
 from __future__ import annotations
@@ -44,6 +45,7 @@ BAD_STREAM = "bad_stream"
 NO_SESSION = "no_session"
 SESSION_ACTIVE = "session_active"
 PROTOCOL_MISMATCH = "protocol_version"
+INTERNAL = "internal"  # an unexpected fault inside the engine
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -70,12 +72,21 @@ class _Handler(socketserver.StreamRequestHandler):
                 keep_open = self._dispatch(owner, msg)
             except (KeyError, TypeError, ValueError) as exc:
                 # the stream is no longer trustworthy; drop the session
-                self.engine = None
-                self.session_id = None
-                self._send_error(BAD_STREAM, f"{type(exc).__name__}: {exc}")
+                self._drop_session(BAD_STREAM, exc)
+                continue
+            except Exception as exc:
+                # a fault inside the engine must not take the connection with
+                # it; socketserver's handle_error prints the traceback
+                self.server.handle_error(self.request, self.client_address)
+                self._drop_session(INTERNAL, exc)
                 continue
             if not keep_open:
                 return
+
+    def _drop_session(self, code: str, exc: Exception) -> None:
+        self.engine = None
+        self.session_id = None
+        self._send_error(code, f"{type(exc).__name__}: {exc}")
 
     # -- message handling --------------------------------------------------
 
@@ -259,6 +270,7 @@ __all__ = [
     "BAD_JSON",
     "BAD_MESSAGE",
     "BAD_STREAM",
+    "INTERNAL",
     "NO_SESSION",
     "PROTOCOL_MISMATCH",
     "PROTOCOL_VERSION",

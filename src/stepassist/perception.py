@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .motion import (
@@ -24,6 +25,8 @@ from .trace.types import FramePair, ImuSample, SessionTrace
 
 MODE_NORMAL = "normal"
 MODE_BURST = "burst"
+
+_TIMESTAMP = attrgetter("timestamp")
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,7 @@ class KeyMoment:
 
     t: float
     pair_id: int
-    hand_flows: dict[str, FlowSummary]
-    scene_flow: FlowSummary | None
+    flows: dict[str, FlowSummary]  # per hand side, or one "scene" entry
     trigger_magnitude: float
 
 
@@ -90,11 +92,10 @@ def head_motion(imu: Sequence[ImuSample], t: float, cfg: SamplerConfig) -> float
     """
     if not imu:
         raise ValueError("imu stream is empty")
-    times = [s.timestamp for s in imu]
-    hi = bisect_right(times, t)
+    hi = bisect_right(imu, t, key=_TIMESTAMP)
     if hi == 0:
         raise ValueError(f"no imu sample at or before t={t}")
-    lo = bisect_right(times, t - cfg.smoothing_window)
+    lo = bisect_right(imu, t - cfg.smoothing_window, hi=hi, key=_TIMESTAMP)
     if lo == hi:  # empty window, fall back to the latest sample
         return imu[hi - 1].magnitude()
     window = imu[lo:hi]
@@ -182,27 +183,19 @@ def select_key_moment(
 
     With hand boxes present, flow runs per hand box (grown to hold at least
     one block); otherwise a single full-frame flow stands in. The trigger is
-    the largest per-region magnitude.
+    the largest per-region magnitude. The flows are keyed by hand side, or
+    by ``"scene"`` alone when no hand is tracked.
     """
     frame_h, frame_w = pair.frame_a.image.shape
-    hand_flows: dict[str, FlowSummary] = {}
-    scene_flow: FlowSummary | None = None
+    a, b = pair.frame_a.image, pair.frame_b.image
     if hands:
-        for box in hands:
-            region = box_flow_region(box, frame_w, frame_h, fcfg.block)
-            hand_flows[box.side] = estimate_flow(
-                pair.frame_a.image, pair.frame_b.image, region, fcfg
-            )
-        trigger = max(f.magnitude for f in hand_flows.values())
+        flows = {
+            box.side: estimate_flow(a, b, box_flow_region(box, frame_w, frame_h, fcfg.block), fcfg)
+            for box in hands
+        }
     else:
-        scene_flow = estimate_flow(pair.frame_a.image, pair.frame_b.image, None, fcfg)
-        trigger = scene_flow.magnitude
+        flows = {"scene": estimate_flow(a, b, None, fcfg)}
+    trigger = max(f.magnitude for f in flows.values())
     if trigger < kcfg.tau_f:
         return None
-    return KeyMoment(
-        t=pair.t,
-        pair_id=pair.pair_id,
-        hand_flows=hand_flows,
-        scene_flow=scene_flow,
-        trigger_magnitude=trigger,
-    )
+    return KeyMoment(t=pair.t, pair_id=pair.pair_id, flows=flows, trigger_magnitude=trigger)

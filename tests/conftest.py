@@ -1,3 +1,5 @@
+import socket
+
 import pytest
 
 from stepassist.harness.config import PipelineConfig
@@ -19,6 +21,14 @@ def fixture_config(**overrides) -> PipelineConfig:
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def dead_endpoint() -> str:
+    """A chat endpoint URL on a local port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/chat"
 
 
 @pytest.fixture(scope="session")

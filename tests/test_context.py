@@ -210,38 +210,29 @@ def test_stationary_threshold_is_strict():
 
 def test_two_hand_sentence_is_exact():
     cue = textualize_motion({"left": flow(5, 5), "right": flow(0.3, 0.0)})
-    assert cue.rendered == (
+    assert cue == (
         "The left hand is moving down-right, the right hand remains almost stationary."
     )
-    assert [e.side for e in cue.entries] == ["left", "right"]
-    assert cue.entries[0].direction == "down-right"
-    assert cue.entries[1].direction == "stationary"
 
 
 def test_scene_clause_used_only_without_hands():
-    cue = textualize_motion({}, scene_flow=flow(-4, 0))
-    assert cue.rendered == "The camera view is moving left."
-    assert [e.side for e in cue.entries] == ["scene"]
-
-    with_hand = textualize_motion({"right": flow(0, -8)}, scene_flow=flow(9, 0))
-    assert with_hand.rendered == "The right hand is moving up."
-    assert [e.side for e in with_hand.entries] == ["right"]
+    assert textualize_motion({"scene": flow(-4, 0)}) == "The camera view is moving left."
+    assert textualize_motion({"scene": flow(0.2, 0)}) == (
+        "The camera view remains almost stationary."
+    )
 
 
 def test_unknown_side_renders_plain_hand_noun():
-    cue = textualize_motion({"unknown": flow(0, 5)})
-    assert cue.rendered == "The hand is moving down."
+    assert textualize_motion({"unknown": flow(0, 5)}) == "The hand is moving down."
 
 
 def test_missing_motion_fallback_sentence():
-    cue = textualize_motion({})
-    assert cue.rendered == "No hand or scene motion information is available."
-    assert cue.entries == ()
+    assert textualize_motion({}) == "No hand or scene motion information is available."
 
 
 def test_clause_order_follows_detector_order():
     cue = textualize_motion({"right": flow(7, 0), "left": flow(-7, 0)})
-    assert cue.rendered == "The right hand is moving right, the left hand is moving left."
+    assert cue == "The right hand is moving right, the left hand is moving left."
 
 
 # -- progress record ----------------------------------------------------------

@@ -38,7 +38,12 @@ from stepassist.harness.report import (
 )
 from stepassist.metrics import MetricsReport, compute_metrics
 from stepassist.perception import run_sampler
-from stepassist.reasoner import MalformedOutput, OracleReasoner, ReasonerOutput
+from stepassist.reasoner import (
+    MalformedOutput,
+    OracleReasoner,
+    ReasonerOutput,
+    RemoteReasonerError,
+)
 from stepassist.trace.synthetic import (
     HandMove,
     HandTrack,
@@ -54,7 +59,7 @@ from stepassist.trace.types import (
     StepSegment,
 )
 
-from conftest import fixture_config
+from conftest import dead_endpoint, fixture_config
 
 IP = ExecutionStatus.IN_PROGRESS
 JS = ExecutionStatus.JUST_START
@@ -252,6 +257,50 @@ def test_malformed_moments_only_differ_locally(shelf_trace):
     clean_before = [ev for ev in clean_log if ev.t < 6.0]
     bad_before = [ev for ev in bad_log if ev.t < 6.0]
     assert clean_before == bad_before
+
+
+def test_dead_reasoner_endpoint_drops_each_moment(shelf_trace):
+    cfg = fixture_config(reasoner=ReasonerSpec(kind="remote", endpoint=dead_endpoint()))
+    log, _ = replay(shelf_trace, cfg)
+
+    key_pairs = [ev.data["pair"] for ev in log.of_kind(KEY_MOMENT)]
+    errors = log.of_kind(ERROR)
+    assert key_pairs
+    assert [ev.data["code"] for ev in errors] == ["reasoner_unavailable"] * len(key_pairs)
+    assert [ev.data["pair"] for ev in errors] == key_pairs
+    assert all("unreachable" in ev.data["detail"] for ev in errors)
+    assert log.of_kind(REASONED) == log.of_kind(DELIVERY) == log.of_kind(TRANSITION) == []
+
+
+class Unreachable:
+    """Wraps a reasoner and fails to reach it at scripted timestamps."""
+
+    def __init__(self, inner, down_times):
+        self.inner = inner
+        self.down = set(down_times)
+
+    def reason(self, inp):
+        if inp.timestamp in self.down:
+            raise RemoteReasonerError(f"endpoint down (moment t={inp.timestamp})")
+        return self.inner.reason(inp)
+
+
+def test_unavailable_reasoner_leaves_the_checker_untouched(shelf_trace):
+    cfg = fixture_config()
+    oracle = OracleReasoner(shelf_trace.segments, shelf_trace.proactive_intervals)
+    down_times = (2.0, 5.0)
+    log, _ = replay(shelf_trace, cfg, reasoner=Unreachable(oracle, down_times))
+
+    errors = log.of_kind(ERROR)
+    assert [(ev.t, ev.data["code"]) for ev in errors] == [
+        (t, "reasoner_unavailable") for t in down_times
+    ]
+    assert {ev.t for ev in log.of_kind(REASONED)}.isdisjoint(down_times)
+    transitions, decisions = refold_checker(log, cfg)
+    assert [
+        (ev.t, ev.data["from_step"], ev.data["to_step"]) for ev in log.of_kind(TRANSITION)
+    ] == transitions
+    assert [(ev.t, ev.data["deliver"]) for ev in log.of_kind(DELIVERY)] == decisions
 
 
 def test_redundant_states_are_suppressed(shelf_trace):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepassist.motion import FlowConfig, HandBox
 from stepassist.perception import (
@@ -67,6 +69,41 @@ def test_head_motion_ignores_samples_outside_the_window():
     perturbed[3] = ImuSample(0.75, 99.0, 0.0, 0.0)  # sits exactly at t - w
     perturbed[5] = ImuSample(1.25, 99.0, 0.0, 0.0)
     assert head_motion(perturbed, 1.0, cfg) == want
+
+
+def linear_head_motion(imu, t, window):
+    """Oracle: the head-motion rule by one scan over every sample."""
+    seen = [s for s in imu if s.timestamp <= t]
+    if not seen:
+        raise ValueError("no imu sample at or before t")
+    inside = [s for s in seen if s.timestamp > t - window]
+    if not inside:
+        return seen[-1].magnitude()
+    return sum(s.magnitude() for s in inside) / len(inside)
+
+
+# timestamps on a 1/8 s grid so that ties and exact window edges are common
+grid = st.integers(min_value=-2, max_value=40).map(lambda k: k / 8)
+samples = st.lists(
+    st.tuples(grid, st.floats(min_value=0.0, max_value=10.0)), max_size=25
+).map(lambda rows: [ImuSample(ts, g, 0.0, 0.0) for ts, g in sorted(rows)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    imu=samples,
+    t=st.one_of(grid, st.floats(min_value=-1.0, max_value=6.0)),
+    window=st.one_of(st.sampled_from([0.05, 0.125, 0.25, 0.5, 1.0]), st.floats(0.01, 1.0)),
+)
+def test_head_motion_matches_a_linear_scan(imu, t, window):
+    cfg = SamplerConfig(smoothing_window=window)
+    try:
+        want = linear_head_motion(imu, t, window)
+    except ValueError:
+        with pytest.raises(ValueError):
+            head_motion(imu, t, cfg)
+        return
+    assert head_motion(imu, t, cfg) == want
 
 
 # -- scheduling --------------------------------------------------------------
@@ -196,9 +233,9 @@ def test_threshold_boundary_keeps_the_moment():
     moment = select_key_moment(pair, [box], KeyMomentConfig(), fixture_flow())
     assert moment is not None
     assert moment.trigger_magnitude == 10.0
-    assert moment.hand_flows["left"].dx == 6.0
-    assert moment.hand_flows["left"].dy == 8.0
-    assert moment.scene_flow is None
+    assert list(moment.flows) == ["left"]
+    assert moment.flows["left"].dx == 6.0
+    assert moment.flows["left"].dy == 8.0
     assert (moment.t, moment.pair_id) == (2.0, 4)
 
 
@@ -216,9 +253,9 @@ def test_trigger_is_the_largest_hand_magnitude(standard_trace):
     ]
     moment = select_key_moment(pair, boxes, KeyMomentConfig(), fixture_flow())
     assert moment is not None
-    assert set(moment.hand_flows) == {"left", "right"}
-    assert moment.hand_flows["left"].magnitude == 12.0
-    assert moment.hand_flows["right"].magnitude == 12.0
+    assert set(moment.flows) == {"left", "right"}
+    assert moment.flows["left"].magnitude == 12.0
+    assert moment.flows["right"].magnitude == 12.0
     assert moment.trigger_magnitude == 12.0
 
 
@@ -230,13 +267,13 @@ def test_scene_flow_stands_in_when_no_hands_are_tracked():
     pair = FramePair(0, 0.0, FrameRecord(0.0, 0, "a", img_a), FrameRecord(0.1, 0, "b", img_b))
     moment = select_key_moment(pair, [], KeyMomentConfig(tau_f=5.0), fixture_flow())
     assert moment is not None
-    assert moment.hand_flows == {}
-    assert moment.scene_flow is not None
-    assert moment.trigger_magnitude == moment.scene_flow.magnitude
+    assert list(moment.flows) == ["scene"]
+    scene = moment.flows["scene"]
+    assert moment.trigger_magnitude == scene.magnitude
     # trailing-edge blocks lose their content off-frame, so the full-frame
     # mean underestimates the scripted 12 px; direction must still dominate
-    assert 6.0 <= moment.scene_flow.dy <= 12.0
-    assert abs(moment.scene_flow.dx) <= 1.0
+    assert 6.0 <= scene.dy <= 12.0
+    assert abs(scene.dx) <= 1.0
     assert moment.trigger_magnitude >= 6.0
 
 

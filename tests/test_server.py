@@ -7,12 +7,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from stepassist.harness import cli
 from stepassist.harness.cli import main
+from stepassist.harness import pipeline as pipeline_module
+from stepassist.harness.config import PipelineConfig, ReasonerSpec
 from stepassist.harness.client import stream_session
 from stepassist.harness.events import DELIVERY, ERROR, KEY_MOMENT, REASONED, SAMPLED_PAIR
 from stepassist.harness.pipeline import replay
 from stepassist.harness.report import REPORT_FILE
-from stepassist.harness.server import PROTOCOL_VERSION, PipelineServer
+from stepassist.harness.server import INTERNAL, PROTOCOL_VERSION, PipelineServer
+from stepassist.motion import HandDetectionError
 from stepassist.trace.io import load_session, write_session
 from stepassist.trace.pgm import write_pgm
 from stepassist.trace.synthetic import (
@@ -24,7 +28,7 @@ from stepassist.trace.synthetic import (
 )
 from stepassist.trace.types import ExecutionStatus
 
-from conftest import fixture_config
+from conftest import dead_endpoint, fixture_config
 from test_harness import shelf_script
 
 SEGMENT_ANN = {
@@ -282,6 +286,43 @@ def test_oracle_sessions_need_annotations(server):
         assert err["code"] == "bad_stream" and "segment" in err["detail"]
 
 
+def test_engine_fault_drops_the_session_and_keeps_the_socket(server, monkeypatch):
+    def broken_detector(frame, detector):
+        raise HandDetectionError("detector crashed")
+
+    monkeypatch.setattr(pipeline_module, "detect_hands", broken_detector)
+    pgm = base64.b64encode(write_pgm(np.zeros((8, 8), dtype=np.uint8))).decode()
+    with raw_client(server) as (send, recv):
+        send(start_message())
+        assert recv()["of"] == "session_start"
+        send({"type": "imu", "t": 0.0, "gx": 0.0, "gy": 0.0, "gz": 0.0})
+        send({"type": "frame", "t": 0.0, "pair": 0, "slot": "a", "data": pgm})
+        send({"type": "frame", "t": 0.1, "pair": 0, "slot": "b", "data": pgm})
+        assert recv() == {"type": "ack", "of": "pair", "pair": 0}
+        send({"type": "session_end"})  # resolving pair 0 runs the detector
+        err = recv()
+        assert err["code"] == INTERNAL and "detector crashed" in err["detail"]
+        send({"type": "imu", "t": 0.2, "gx": 0.0, "gy": 0.0, "gz": 0.0})
+        assert recv()["code"] == "no_session"
+        send(start_message(session_id="second"))
+        ack = recv()
+        assert ack["of"] == "session_start" and ack["session_id"] == "second"
+
+
+def test_dead_reasoner_endpoint_still_ends_the_session():
+    cfg = fixture_config(reasoner=ReasonerSpec(kind="remote", endpoint=dead_endpoint()))
+    trace = generate_synthetic(shelf_script())
+    with PipelineServer(cfg) as srv:
+        host, port = srv.address
+        result = stream_session(trace, host, port, session_id="dead")
+    counts = result.end_counts
+    assert result.errors == [] and result.assists == []
+    assert result.pair_acks == len(trace.pairs())
+    assert counts["key_moments"] > 0
+    assert counts["errors"] == counts["key_moments"]
+    assert counts["reasoned"] == counts["deliveries"] == 0
+
+
 # -- command line -----------------------------------------------------------------
 
 
@@ -339,6 +380,69 @@ def test_cli_send_streams_to_a_live_server(capsys, session_dir):
     assert code == 0
     out = capsys.readouterr().out
     assert "finished:" in out and "deliveries=1" in out
+
+
+class CapturedServer:
+    """Stands in for PipelineServer: records the config and serves nothing."""
+
+    configs = []
+
+    def __init__(self, cfg, host, port):
+        self.configs.append(cfg)
+        self.address = (host, port)
+
+    def serve_forever(self):
+        pass
+
+
+def test_cli_sets_every_config_flag(tmp_path, monkeypatch, capsys, corpus_dir):
+    # flag -> (value, config field it must set, that field's value)
+    expected = {
+        "--tau-s": ("0.7", lambda c: c.sampler.tau_s, 0.7),
+        "--normal-interval": ("2.0", lambda c: c.sampler.normal_interval, 2.0),
+        "--burst-interval": ("0.8", lambda c: c.sampler.burst_interval, 0.8),
+        "--smoothing-window": ("0.4", lambda c: c.sampler.smoothing_window, 0.4),
+        "--pair-gap": ("0.2", lambda c: c.sampler.pair_gap, 0.2),
+        "--tau-f": ("12.5", lambda c: c.key_moment.tau_f, 12.5),
+        "--stationary-threshold": ("2.5", lambda c: c.key_moment.stationary_threshold, 2.5),
+        "--block": ("6", lambda c: c.flow.block, 6),
+        "--search-radius": ("9", lambda c: c.flow.search_radius, 9),
+        "--window": ("9", lambda c: c.checker.window, 9),
+        "--tau-c": ("0.75", lambda c: c.checker.tau_c, 0.75),
+        "--min-window": ("4", lambda c: c.checker.min_window, 4),
+        "--reasoner": ("remote", lambda c: c.reasoner.kind, "remote"),
+        "--endpoint": ("http://127.0.0.1:9/chat", lambda c: c.reasoner.endpoint,
+                       "http://127.0.0.1:9/chat"),
+        "--model": ("tiny", lambda c: c.reasoner.model, "tiny"),
+        "--detector": ("synthetic", lambda c: c.detector.kind, "synthetic"),
+        "--corpus": (str(corpus_dir), lambda c: c.corpus_dir, str(corpus_dir)),
+        "--step-error-rate": ("0.1", lambda c: c.reasoner.oracle.step_error_rate, 0.1),
+        "--status-error-rate": ("0.2", lambda c: c.reasoner.oracle.status_error_rate, 0.2),
+        "--flip-rate": ("0.3", lambda c: c.reasoner.oracle.proactive_flip_rate, 0.3),
+        "--oracle-seed": ("7", lambda c: c.reasoner.oracle.seed, 7),
+        "--record-latency": (None, lambda c: c.record_latency, True),
+    }
+    assert set(expected) == {flag for flag, _, _ in cli._CONFIG_FLAGS}
+    argv = ["serve", "--port", "0"]
+    for flag, (value, _, _) in expected.items():
+        argv += [flag] if value is None else [flag, value]
+    monkeypatch.setattr(cli, "PipelineServer", CapturedServer)
+    CapturedServer.configs.clear()
+    assert main(argv) == 0
+    cfg = CapturedServer.configs[0]
+    default = PipelineConfig()
+    for flag, (_, field, want) in expected.items():
+        assert field(default) != want, flag
+        assert field(cfg) == want, flag
+
+    # flags lay over a config file without dropping its other keys
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"reasoner": {"oracle": {"seed": 3}}, "flow": {"block": 4}}))
+    assert main(["serve", "--config", str(path), "--flip-rate", "0.5", "--block", "5"]) == 0
+    cfg = CapturedServer.configs[1]
+    assert (cfg.reasoner.oracle.seed, cfg.reasoner.oracle.proactive_flip_rate) == (3, 0.5)
+    assert cfg.flow.block == 5
+    capsys.readouterr()
 
 
 def test_cli_retrieve_reports_the_matched_guideline(capsys, corpus_dir):
