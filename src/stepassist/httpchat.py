@@ -1,8 +1,8 @@
 """Thin chat-completion HTTP client shared by the remote reasoner and structurer."""
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
 import urllib.request
 from typing import Any, Sequence
 
@@ -35,7 +35,8 @@ def chat_complete(
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             body = response.read().decode("utf-8")
-    except urllib.error.URLError as exc:
+    except (OSError, http.client.HTTPException) as exc:
+        # URLError, a read timeout and a dropped connection are all OSErrors
         raise ChatEndpointError(f"chat endpoint {endpoint} unreachable: {exc}") from exc
     try:
         reply = json.loads(body)

@@ -2,19 +2,33 @@
 
 Flow is estimated per block by exhaustive search: each block from the first
 frame is compared against every shifted window of the second frame within the
-search radius, under a sum-of-absolute-differences cost. Low-texture blocks
-(intensity variance below 1.0) carry no signal and are excluded from the
-mean. Ties are broken toward the smallest displacement magnitude, then
+search radius, under a sum-of-absolute-differences (SAD) cost. Low-texture
+blocks (intensity variance below 1.0) carry no signal and are excluded from
+the mean. Ties are broken toward the smallest displacement magnitude, then
 lexicographically by (dx, dy), so results are exactly reproducible.
+
+The search runs over batches of blocks and skips candidates that cannot win,
+with the same result as costing them all. Candidates are listed in tie-break
+order, so a block's match is its least (cost, position in the list). The
+successive elimination algorithm (W. Li and E. Salari, IEEE TIP 4(1), 1995)
+bounds every cost from below, |sum(block) - sum(window)| <= SAD, with each
+window sum read from one integral image of the second frame. A block's
+incumbent is the exact cost at (0, 0) or, if lower, at one of a few
+smallest-bound candidates, and only candidates whose bound does not exceed
+it are costed exactly. A skipped candidate's bound is strictly greater, so
+its cost exceeds the incumbent, which is at least the minimum: every
+candidate tied for the minimum is costed, and the tie-break sees them all.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .trace.types import FrameRecord
 
@@ -60,6 +74,41 @@ def _block_starts(extent: int, block: int) -> list[int]:
     return starts
 
 
+# Work per step of the search: blocks bounded together, candidates costed per
+# gather, and smallest-bound candidates tried for the incumbent. They bound
+# memory and time; no result depends on them.
+_CHUNK_BLOCKS = 64
+_GATHER = 1024
+_SEEDS = 4
+# window sum given to a candidate outside the frame: its bound exceeds any cost
+_OUTSIDE = 1 << 62
+
+
+@functools.lru_cache(maxsize=8)
+def _candidates(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every displacement within ``radius``, in tie-break order (|d|^2, dx, dy)."""
+    side = np.arange(-radius, radius + 1)
+    dx, dy = np.repeat(side, side.size), np.tile(side, side.size)
+    order = np.lexsort((dy, dx, dx * dx + dy * dy))
+    dx, dy = dx[order], dy[order]
+    dx.flags.writeable = dy.flags.writeable = False
+    return dx, dy
+
+
+def _window_sums(area: np.ndarray, block: int, pad: int) -> np.ndarray:
+    """Sums of every block-sized window of ``area``, padded with ``_OUTSIDE``."""
+    h, w = area.shape
+    integral = np.zeros((h + 1, w + 1), np.int64)
+    np.cumsum(area, axis=0, dtype=np.int64, out=integral[1:, 1:])
+    np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
+    sums = np.full((h - block + 1 + 2 * pad, w - block + 1 + 2 * pad), _OUTSIDE, np.int64)
+    inner = sums[pad : pad + h - block + 1, pad : pad + w - block + 1]
+    np.subtract(integral[block:, block:], integral[:-block, block:], out=inner)
+    inner -= integral[block:, :-block]
+    inner += integral[:-block, :-block]
+    return sums
+
+
 def estimate_flow(
     frame_a: np.ndarray,
     frame_b: np.ndarray,
@@ -68,7 +117,8 @@ def estimate_flow(
 ) -> FlowSummary:
     """Estimate mean displacement of ``region`` content from frame_a to frame_b.
 
-    ``region`` is (x, y, w, h) in frame coordinates; None means the full
+    The frames are 2-d uint8 arrays of one shape. ``region`` is (x, y, w, h)
+    in frame coordinates; None means the full
     frame. The region must fit in both frames and hold at least one block.
     Candidate windows are clamped to the frame, so blocks near the border
     simply search a smaller neighborhood; (0, 0) is always a candidate.
@@ -77,6 +127,8 @@ def estimate_flow(
         raise ValueError(f"frame shapes differ: {frame_a.shape} vs {frame_b.shape}")
     if frame_a.ndim != 2:
         raise ValueError("frames must be 2-d grayscale arrays")
+    if frame_a.dtype != np.uint8 or frame_b.dtype != np.uint8:
+        raise ValueError(f"frames must be uint8, got {frame_a.dtype} and {frame_b.dtype}")
     fh, fw = frame_a.shape
     if region is None:
         region = (0, 0, fw, fh)
@@ -85,39 +137,84 @@ def estimate_flow(
         raise ValueError(f"region {region} leaves the {fw}x{fh} frame")
     if w < cfg.block or h < cfg.block:
         raise ValueError(f"region {region} smaller than one {cfg.block}px block")
-
-    a = frame_a.astype(np.int32)
-    b = frame_b.astype(np.int32)
     r, bs = cfg.search_radius, cfg.block
+    n = bs * bs
+    limit = LOW_TEXTURE_VARIANCE * n * n
 
-    sum_dx = 0.0
-    sum_dy = 0.0
-    used = 0
-    total = 0
-    for oy in _block_starts(h, bs):
-        for ox in _block_starts(w, bs):
-            bx, by = x + ox, y + oy
-            total += 1
-            block = a[by : by + bs, bx : bx + bs]
-            if np.var(block) < LOW_TEXTURE_VARIANCE:
-                continue
-            x0, y0 = max(0, bx - r), max(0, by - r)
-            x1, y1 = min(fw, bx + bs + r), min(fh, by + bs + r)
-            windows = np.lib.stride_tricks.sliding_window_view(
-                b[y0:y1, x0:x1], (bs, bs)
-            )
-            costs = np.abs(windows - block).sum(axis=(2, 3))
-            wy, wx = np.meshgrid(
-                np.arange(costs.shape[0]), np.arange(costs.shape[1]), indexing="ij"
-            )
-            dxs = (wx + x0 - bx).ravel()
-            dys = (wy + y0 - by).ravel()
-            flat = costs.ravel()
-            mag2 = dxs * dxs + dys * dys
-            best = np.lexsort((dys, dxs, mag2, flat))[0]
-            sum_dx += float(dxs[best])
-            sum_dy += float(dys[best])
-            used += 1
+    # block origins, row-major over the region
+    gy, gx = np.meshgrid(_block_starts(h, bs), _block_starts(w, bs), indexing="ij")
+    gy, gx = gy.ravel() + y, gx.ravel() + x
+    a_blocks = sliding_window_view(frame_a, (bs, bs))
+    # every candidate window of the region lies in this area of frame_b
+    sx0, sy0 = max(0, x - r), max(0, y - r)
+    area = frame_b[sy0 : min(fh, y + h + r), sx0 : min(fw, x + w + r)]
+    b_windows = sliding_window_view(area, (bs, bs))
+    wsum = _window_sums(area, bs, r)
+    wflat = wsum.ravel()
+    oy, ox = gy - sy0, gx - sx0  # block origins in the area
+    at = (oy + r) * wsum.shape[1] + ox + r
+    cdx, cdy = _candidates(r)
+    step = cdy * wsum.shape[1] + cdx
+    k_all = cdx.size
+
+    used = sum_dx = sum_dy = 0
+    for c0 in range(0, gy.size, _CHUNK_BLOCKS):
+        blocks = a_blocks[gy[c0 : c0 + _CHUNK_BLOCKS], gx[c0 : c0 + _CHUNK_BLOCKS]]
+        blocks = blocks.astype(np.int16)
+        sums = blocks.sum(axis=(1, 2), dtype=np.int64)
+        # n^2 * variance, exact in integers; a block exactly at the threshold
+        # is left to the float variance, so every decision is np.var's
+        spread = n * np.square(blocks, dtype=np.int64).sum(axis=(1, 2)) - sums * sums
+        textured = spread > limit
+        for i in np.flatnonzero(spread == limit):
+            textured[i] = not np.var(blocks[i]) < LOW_TEXTURE_VARIANCE
+        rows = np.flatnonzero(textured)
+        if not rows.size:
+            continue
+        blocks, sums, sel = blocks[rows], sums[rows], c0 + rows
+        used += sel.size
+
+        def cost(row: np.ndarray, cand: np.ndarray) -> np.ndarray:
+            win = b_windows[oy[sel[row]] + cdy[cand], ox[sel[row]] + cdx[cand]]
+            win = win.astype(np.int16)
+            win -= blocks[row]
+            np.abs(win, out=win)
+            return win.sum(axis=(1, 2), dtype=np.int64)
+
+        # successive elimination: |sum(block) - sum(window)| <= SAD
+        bound = np.take(wflat, at[sel, None] + step)
+        bound -= sums[:, None]
+        np.abs(bound, out=bound)
+        # incumbent: the cost at (0, 0), first in order and always in the
+        # frame, or, if lower, at one of the smallest-bound candidates
+        line = np.arange(sel.size)
+        seeds = np.zeros((_SEEDS + 1, sel.size), np.intp)  # row 0 is (0, 0)
+        held = np.zeros(seeds.shape, np.int64)
+        for j in range(1, _SEEDS + 1):  # a few argmins cost less than argpartition
+            seeds[j] = bound.argmin(axis=1)
+            held[j] = bound[line, seeds[j]]
+            bound[line, seeds[j]] = _OUTSIDE
+        for j in reversed(range(1, _SEEDS + 1)):
+            bound[line, seeds[j]] = held[j]
+        seeds[held >= _OUTSIDE // 2] = 0  # a seed outside the frame: (0, 0) again
+        incumbent = cost(np.tile(line, _SEEDS + 1), seeds.ravel())
+        incumbent = incumbent.reshape(_SEEDS + 1, -1).min(axis=0)
+        # a pruned candidate costs more than the incumbent, so more than the
+        # minimum: every candidate tied for the minimum is kept
+        keep = bound <= incumbent[:, None]
+        flat = np.flatnonzero(keep)
+        cand = flat % k_all
+        key = np.empty(flat.size, np.int64)
+        for g0 in range(0, flat.size, _GATHER):
+            part = slice(g0, g0 + _GATHER)
+            key[part] = cost(flat[part] // k_all, cand[part])
+        # least (cost, order position) per block: the tie-break of the order
+        key *= k_all
+        key += cand
+        counts = keep.sum(axis=1)
+        best = np.minimum.reduceat(key, np.cumsum(counts) - counts) % k_all
+        sum_dx += int(cdx[best].sum())
+        sum_dy += int(cdy[best].sum())
 
     if used:
         mean_dx, mean_dy = sum_dx / used, sum_dy / used
@@ -128,7 +225,7 @@ def estimate_flow(
         dy=mean_dy,
         magnitude=math.hypot(mean_dx, mean_dy),
         pixels_processed=w * h,
-        blocks_total=total,
+        blocks_total=gy.size,
         blocks_used=used,
     )
 

@@ -20,8 +20,7 @@ Design notes that keep downstream math exact:
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

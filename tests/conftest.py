@@ -1,3 +1,4 @@
+import contextlib
 import socket
 
 import pytest
@@ -29,6 +30,15 @@ def dead_endpoint() -> str:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     return f"http://127.0.0.1:{port}/chat"
+
+
+@contextlib.contextmanager
+def hanging_endpoint():
+    """A chat endpoint URL on a local port that accepts connections and never answers."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(64)
+        yield f"http://127.0.0.1:{sock.getsockname()[1]}/chat"
 
 
 @pytest.fixture(scope="session")

@@ -59,7 +59,7 @@ from stepassist.trace.types import (
     StepSegment,
 )
 
-from conftest import dead_endpoint, fixture_config
+from conftest import dead_endpoint, fixture_config, hanging_endpoint
 
 IP = ExecutionStatus.IN_PROGRESS
 JS = ExecutionStatus.JUST_START
@@ -259,17 +259,27 @@ def test_malformed_moments_only_differ_locally(shelf_trace):
     assert clean_before == bad_before
 
 
-def test_dead_reasoner_endpoint_drops_each_moment(shelf_trace):
-    cfg = fixture_config(reasoner=ReasonerSpec(kind="remote", endpoint=dead_endpoint()))
-    log, _ = replay(shelf_trace, cfg)
-
+def assert_each_moment_dropped(log, detail):
     key_pairs = [ev.data["pair"] for ev in log.of_kind(KEY_MOMENT)]
     errors = log.of_kind(ERROR)
     assert key_pairs
     assert [ev.data["code"] for ev in errors] == ["reasoner_unavailable"] * len(key_pairs)
     assert [ev.data["pair"] for ev in errors] == key_pairs
-    assert all("unreachable" in ev.data["detail"] for ev in errors)
+    assert all(detail in ev.data["detail"] for ev in errors)
     assert log.of_kind(REASONED) == log.of_kind(DELIVERY) == log.of_kind(TRANSITION) == []
+
+
+def test_dead_reasoner_endpoint_drops_each_moment(shelf_trace):
+    cfg = fixture_config(reasoner=ReasonerSpec(kind="remote", endpoint=dead_endpoint()))
+    log, _ = replay(shelf_trace, cfg)
+    assert_each_moment_dropped(log, "unreachable")
+
+
+def test_hanging_reasoner_endpoint_drops_each_moment(shelf_trace):
+    with hanging_endpoint() as endpoint:
+        reasoner = ReasonerSpec(kind="remote", endpoint=endpoint, timeout=0.2)
+        log, _ = replay(shelf_trace, fixture_config(reasoner=reasoner))
+    assert_each_moment_dropped(log, "timed out")
 
 
 class Unreachable:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stepassist.motion import (
     AnnotationDetector,
@@ -103,6 +106,87 @@ def test_matches_oracle_on_region_with_flat_patches():
     assert got.blocks_used == want_used < got.blocks_total == want_total
 
 
+PAD = 6  # the largest drawn search radius
+
+
+def texture(rng, kind, height, width):
+    """A uint8 frame of one texture family: the families stress ties and the texture test."""
+    if kind == "noise":
+        return rng.integers(0, 256, (height, width), dtype=np.uint8)
+    if kind == "two-level":  # tie-heavy; a step of 2 puts block variances at or below 1.0
+        low, step = rng.integers(0, 250), rng.choice([1, 2, 3, 5])
+        return (low + step * rng.integers(0, 2, (height, width))).astype(np.uint8)
+    if kind == "stripes":  # periodic: many zero-cost candidates
+        ax, ay = [(1, 0), (0, 1), (1, 1)][rng.integers(0, 3)]
+        phase = np.arange(width)[None, :] * ax + np.arange(height)[:, None] * ay
+        return (phase % rng.integers(2, 5) * rng.choice([1, 2, 60])).astype(np.uint8)
+    # near-flat: a constant plus small steps, block variances around 1.0
+    spread = rng.integers(2, 4)
+    return (rng.integers(0, 250) + rng.integers(0, spread + 1, (height, width))).astype(np.uint8)
+
+
+@st.composite
+def flow_cases(draw):
+    block = draw(st.integers(2, 8))
+    cfg = FlowConfig(block=block, search_radius=draw(st.integers(1, PAD)))
+    height, width = draw(st.integers(block, 40)), draw(st.integers(block, 40))
+    kind = draw(st.sampled_from(["noise", "two-level", "stripes", "near-flat"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    master = texture(rng, kind, height + 2 * PAD, width + 2 * PAD)
+    a = master[PAD : PAD + height, PAD : PAD + width]
+    if draw(st.booleans()):  # a's content moved, possibly beyond the radius
+        dx, dy = draw(st.integers(-PAD, PAD)), draw(st.integers(-PAD, PAD))
+        b = master[PAD - dy : PAD - dy + height, PAD - dx : PAD - dx + width]
+    else:  # no true match
+        b = texture(rng, kind, height, width)
+    region = None  # the full frame touches every border
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, width - block)), draw(st.integers(0, height - block))
+        region = (x, y, draw(st.integers(block, width - x)), draw(st.integers(block, height - y)))
+    return a, b, region, cfg
+
+
+def variance_rounding_splits(frame, region, cfg):
+    """Whether np.var and the oracle's float variance disagree on some block.
+
+    Only a block whose exact variance equals the threshold can split them,
+    by rounding (seen on 6x6 blocks); the engine keeps np.var's verdict,
+    which test_variance_at_the_threshold_follows_np_var checks.
+    """
+    x, y, w, h = region or (0, 0, frame.shape[1], frame.shape[0])
+    n = cfg.block * cfg.block
+    windows = sliding_window_view(frame[y : y + h, x : x + w], (cfg.block, cfg.block))
+    for block in windows.reshape(-1, n).astype(np.int64):
+        if n * int((block * block).sum()) - int(block.sum()) ** 2 != n * n:
+            continue
+        pixels = [int(v) for v in block]
+        mean = sum(pixels) / n
+        oracle_low = sum((v - mean) ** 2 for v in pixels) / n < 1.0
+        if (np.var(block.reshape(cfg.block, cfg.block)) < 1.0) != oracle_low:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=flow_cases())
+def test_matches_oracle_on_generated_frames(case):
+    a, b, region, cfg = case
+    assume(not variance_rounding_splits(a, region, cfg))
+    got = estimate_flow(a, b, region, cfg)
+    assert (got.dx, got.dy, got.blocks_used, got.blocks_total) == oracle_flow(a, b, region, cfg)
+
+
+def test_variance_at_the_threshold_follows_np_var():
+    # each block's exact variance is 1.0; np.var reads the last one as
+    # 0.9999999999999998 (numpy 2.4) and the oracle's sum the middle one
+    for digits in ["0022", "003021011311231023203212221211100202",
+                   "103332212210332212311321231322101010"]:
+        side = int(len(digits) ** 0.5)
+        block = np.array([int(c) for c in digits], dtype=np.uint8).reshape(side, side)
+        flow = estimate_flow(block, block, None, FlowConfig(block=side, search_radius=1))
+        assert flow.blocks_used == int(not np.var(block.astype(np.int32)) < 1.0)
+
+
 def test_recovers_scripted_displacements_exactly():
     rng = np.random.default_rng(2)
     cfg = FlowConfig(search_radius=7)
@@ -191,6 +275,8 @@ def test_estimate_flow_rejects_bad_inputs():
         estimate_flow(img, img, region=(0, 0, 4, 4))  # below one block
     with pytest.raises(ValueError):
         estimate_flow(img, img, region=(10, 10, 8, 8))  # leaves the frame
+    with pytest.raises(ValueError):
+        estimate_flow(img.astype(np.int32), img.astype(np.int32))  # not uint8
 
 
 def test_flow_config_validation():

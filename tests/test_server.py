@@ -28,7 +28,7 @@ from stepassist.trace.synthetic import (
 )
 from stepassist.trace.types import ExecutionStatus
 
-from conftest import dead_endpoint, fixture_config
+from conftest import dead_endpoint, fixture_config, hanging_endpoint
 from test_harness import shelf_script
 
 SEGMENT_ANN = {
@@ -309,10 +309,9 @@ def test_engine_fault_drops_the_session_and_keeps_the_socket(server, monkeypatch
         assert ack["of"] == "session_start" and ack["session_id"] == "second"
 
 
-def test_dead_reasoner_endpoint_still_ends_the_session():
-    cfg = fixture_config(reasoner=ReasonerSpec(kind="remote", endpoint=dead_endpoint()))
+def assert_each_moment_dropped(reasoner: ReasonerSpec):
     trace = generate_synthetic(shelf_script())
-    with PipelineServer(cfg) as srv:
+    with PipelineServer(fixture_config(reasoner=reasoner)) as srv:
         host, port = srv.address
         result = stream_session(trace, host, port, session_id="dead")
     counts = result.end_counts
@@ -321,6 +320,15 @@ def test_dead_reasoner_endpoint_still_ends_the_session():
     assert counts["key_moments"] > 0
     assert counts["errors"] == counts["key_moments"]
     assert counts["reasoned"] == counts["deliveries"] == 0
+
+
+def test_dead_reasoner_endpoint_still_ends_the_session():
+    assert_each_moment_dropped(ReasonerSpec(kind="remote", endpoint=dead_endpoint()))
+
+
+def test_hanging_reasoner_endpoint_still_ends_the_session():
+    with hanging_endpoint() as endpoint:
+        assert_each_moment_dropped(ReasonerSpec(kind="remote", endpoint=endpoint, timeout=0.2))
 
 
 # -- command line -----------------------------------------------------------------
