@@ -24,7 +24,6 @@ _CONFIG_FLAGS: list[tuple[str, str, dict]] = [
     ("--normal-interval", "sampler.normal_interval", {"type": float}),
     ("--burst-interval", "sampler.burst_interval", {"type": float}),
     ("--smoothing-window", "sampler.smoothing_window", {"type": float}),
-    ("--pair-gap", "sampler.pair_gap", {"type": float}),
     ("--tau-f", "key_moment.tau_f", {"type": float, "help": "Key-moment flow threshold"}),
     ("--stationary-threshold", "key_moment.stationary_threshold", {"type": float}),
     ("--block", "flow.block", {"type": int, "help": "Flow block size"}),

@@ -34,8 +34,6 @@ class ReasonerSpec:
 @dataclass(frozen=True)
 class DetectorSpec:
     kind: str = "annotation"
-    threshold: int = 150
-    min_area: int = 16
 
 
 @dataclass(frozen=True)
@@ -75,39 +73,27 @@ class PipelineConfig:
         return self
 
 
-_SECTION_TYPES: dict[str, type] = {
-    "sampler": SamplerConfig,
-    "key_moment": KeyMomentConfig,
-    "flow": FlowConfig,
-    "checker": CheckerConfig,
-    "reasoner": ReasonerSpec,
-    "detector": DetectorSpec,
-    "structurer": StructurerSpec,
-}
-
-
-def _build_section(cls: type, obj: dict[str, Any], path: str) -> Any:
+def _build(cls: type, obj: Any, path: str) -> Any:
+    """Build dataclass ``cls`` from a JSON object; a dict given for a field
+    whose default is a dataclass builds that field."""
+    if not isinstance(obj, dict):
+        where = f" {path}" if path else ""
+        raise ValueError(f"config{where} must be an object, got {obj!r}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs: dict[str, Any] = {}
     for key, value in obj.items():
+        name = f"{path}.{key}" if path else key
         if key not in fields:
-            raise ValueError(f"unknown config key {path}.{key}")
-        if key == "oracle" and isinstance(value, dict):
-            value = _build_section(OracleConfig, value, f"{path}.oracle")
+            raise ValueError(f"unknown config key {name}")
+        default = fields[key].default
+        if dataclasses.is_dataclass(default):
+            value = _build(type(default), value, name)
         kwargs[key] = value
     return cls(**kwargs)
 
 
 def config_from_dict(obj: dict[str, Any]) -> PipelineConfig:
-    kwargs: dict[str, Any] = {}
-    for key, value in obj.items():
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        elif key in ("corpus_dir", "record_latency"):
-            kwargs[key] = value
-        else:
-            raise ValueError(f"unknown config key {key}")
-    return PipelineConfig(**kwargs).validate()
+    return _build(PipelineConfig, obj, "").validate()
 
 
 def config_from_file(path: str | Path) -> PipelineConfig:

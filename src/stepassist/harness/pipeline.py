@@ -26,6 +26,7 @@ from ..context import (
     textualize_motion,
     validate_guideline,
 )
+from ..httpchat import ChatEndpointError
 from ..metrics import MetricsReport, compute_metrics
 from ..motion import (
     AnnotationDetector,
@@ -55,10 +56,7 @@ from ..trace.types import (
     FramePair,
     FrameRecord,
     ImuSample,
-    ProactiveInterval,
     SessionTrace,
-    StepSegment,
-    step_vocabulary,
 )
 from .config import PipelineConfig
 from .events import (
@@ -98,9 +96,11 @@ def resolve_guideline(
     """Produce the prompt's guideline text and the known step vocabulary.
 
     With a corpus configured: retrieve by instruction, then structure. A
-    retrieval that cannot be structured falls back to the raw document text
-    (vocabulary unknown). Without a corpus, a guideline is synthesized from
-    the session's step labels when present, else the instruction stands in.
+    retrieval that cannot be structured, because the structurer's reply is
+    malformed or its endpoint is unreachable, falls back to the raw document
+    text (vocabulary unknown). Without a corpus, a guideline is synthesized
+    from the session's step labels when present, else the instruction stands
+    in.
     """
     if cfg.corpus_dir is not None:
         corpus = GuidelineCorpus.load(cfg.corpus_dir)
@@ -113,7 +113,7 @@ def resolve_guideline(
             structurer = ScriptedStructurer()
         try:
             guideline = structurer.structure(result.text)
-        except GuidelineFormatError:
+        except (GuidelineFormatError, ChatEndpointError):
             return result.text, []
         return guideline.render(), guideline.step_titles()
     if step_labels:
@@ -124,9 +124,9 @@ def resolve_guideline(
 
 def build_detector(cfg: PipelineConfig, hand_boxes) -> HandDetector:
     if cfg.detector.kind == "annotation":
-        return AnnotationDetector(hand_boxes or {})
+        return AnnotationDetector(hand_boxes)
     if cfg.detector.kind == "synthetic":
-        return SyntheticDetector(cfg.detector.threshold, cfg.detector.min_area)
+        return SyntheticDetector()
     return NullDetector()
 
 
@@ -136,37 +136,43 @@ class SessionPipeline:
     Feed sensor records in timestamp order via feed_imu/feed_frame, then call
     finish(). Every call returns the events it produced, in order; the full
     log accumulates on ``self.log``.
+
+    ``session`` sets the instruction, the frame size, the pair gap and the
+    annotations; its ``frames`` and ``imu`` are never read.
     """
 
     def __init__(
         self,
         cfg: PipelineConfig,
+        session: SessionTrace,
         *,
-        instruction: str,
-        segments: Sequence[StepSegment] = (),
-        proactive_intervals: Sequence[ProactiveInterval] = (),
-        hand_boxes: dict | None = None,
         reasoner: Reasoner | None = None,
     ):
         cfg.validate()
+        if not 0 < session.pair_gap < cfg.sampler.burst_interval:
+            raise ValueError(
+                f"session pair gap {session.pair_gap} must be positive and below "
+                f"the burst interval {cfg.sampler.burst_interval}"
+            )
         self.cfg = cfg
-        self.instruction = instruction
-        self.segments = list(segments)
-        self.intervals = list(proactive_intervals)
+        self._bind_tolerance = session.pair_gap / 2.0
+        self._frame_shape = (session.height, session.width)
 
         self.guideline_text, self.step_titles = resolve_guideline(
-            cfg, instruction, step_vocabulary(self.segments)
+            cfg, session.instruction, session.step_labels()
         )
 
         if reasoner is None:
             if cfg.reasoner.kind == "oracle":
-                reasoner = OracleReasoner(self.segments, self.intervals, cfg.reasoner.oracle)
+                reasoner = OracleReasoner(
+                    session.segments, session.proactive_intervals, cfg.reasoner.oracle
+                )
             else:
                 reasoner = RemoteReasoner(
                     cfg.reasoner.endpoint, cfg.reasoner.model, cfg.reasoner.timeout
                 )
         self.reasoner = reasoner
-        self.detector = build_detector(cfg, hand_boxes)
+        self.detector = build_detector(cfg, session.hand_boxes)
 
         self.log = EventLog()
         self.sampler_state = SamplerState()
@@ -193,6 +199,10 @@ class SessionPipeline:
         self._check_open()
         if not math.isfinite(frame.timestamp):
             raise ValueError(f"frame {frame.pair_id}{frame.slot} has non-finite timestamp")
+        if frame.image.shape != self._frame_shape:
+            raise ValueError(
+                f"frame geometry {frame.image.shape} does not match session {self._frame_shape}"
+            )
         if self._last_frame_t is not None and frame.timestamp <= self._last_frame_t:
             raise ValueError("frames must arrive in strictly increasing order")
         self._last_frame_t = frame.timestamp
@@ -217,10 +227,6 @@ class SessionPipeline:
             raise RuntimeError("session already finished")
 
     # -- resolution ------------------------------------------------------
-
-    @property
-    def _bind_tolerance(self) -> float:
-        return self.cfg.sampler.pair_gap / 2.0
 
     def _can_resolve(self, t: float, finished: bool) -> bool:
         if finished:
@@ -398,14 +404,7 @@ def replay(
     exist. With ``pace`` the feed additionally sleeps out the recorded gaps
     in wall-clock time (demo mode; scoring is unaffected).
     """
-    engine = SessionPipeline(
-        cfg,
-        instruction=trace.instruction,
-        segments=trace.segments,
-        proactive_intervals=trace.proactive_intervals,
-        hand_boxes=trace.hand_boxes,
-        reasoner=reasoner,
-    )
+    engine = SessionPipeline(cfg, trace, reasoner=reasoner)
     for record in sensor_records(trace, pace=pace):
         if isinstance(record, ImuSample):
             engine.feed_imu(record)

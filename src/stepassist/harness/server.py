@@ -31,7 +31,7 @@ from typing import Any
 
 from ..trace.io import annotations_from_obj
 from ..trace.pgm import read_pgm
-from ..trace.types import FrameRecord, ImuSample
+from ..trace.types import FrameRecord, ImuSample, SessionTrace
 from .config import PipelineConfig
 from .events import DELIVERY, Event, EventLog, run_counts
 from .pipeline import SessionPipeline
@@ -55,7 +55,6 @@ class _Handler(socketserver.StreamRequestHandler):
         owner: PipelineServer = self.server.owner  # type: ignore[attr-defined]
         self.engine: SessionPipeline | None = None
         self.session_id: str | None = None
-        self.geometry: tuple[int, int] | None = None
         for raw in self.rfile:
             line = raw.strip()
             if not line:
@@ -118,26 +117,20 @@ class _Handler(socketserver.StreamRequestHandler):
         if self.engine is not None:
             self._send_error(SESSION_ACTIVE, "finish the open session first")
             return True
-        width = int(msg["width"])
-        height = int(msg["height"])
-        pair_gap = float(msg["pair_gap"])
-        if abs(pair_gap - owner.cfg.sampler.pair_gap) > 1e-9:
-            self._send_error(
-                BAD_MESSAGE,
-                f"session pair_gap {pair_gap} does not match server "
-                f"configuration {owner.cfg.sampler.pair_gap}",
-            )
-            return True
         segments, intervals, hand_boxes = annotations_from_obj(msg.get("annotations") or {})
-        self.engine = SessionPipeline(
-            owner.cfg,
+        session = SessionTrace(
             instruction=str(msg["instruction"]),
+            width=int(msg["width"]),
+            height=int(msg["height"]),
+            pair_gap=float(msg["pair_gap"]),
+            frames=[],
+            imu=[],
             segments=segments,
             proactive_intervals=intervals,
             hand_boxes=hand_boxes,
         )
+        self.engine = SessionPipeline(owner.cfg, session)
         self.session_id = str(msg.get("session_id", ""))
-        self.geometry = (height, width)
         self._send({"type": "ack", "of": "session_start", "session_id": self.session_id})
         return True
 
@@ -151,22 +144,14 @@ class _Handler(socketserver.StreamRequestHandler):
         self._push_assists(self.engine.feed_imu(sample))
 
     def _on_frame(self, msg: dict[str, Any]) -> None:
-        slot = msg["slot"]
-        if slot not in ("a", "b"):
-            raise ValueError(f"frame slot must be 'a' or 'b', got {slot!r}")
-        image = read_pgm(base64.b64decode(msg["data"]))
-        if image.shape != self.geometry:
-            raise ValueError(
-                f"frame geometry {image.shape} does not match session {self.geometry}"
-            )
         frame = FrameRecord(
             timestamp=float(msg["t"]),
             pair_id=int(msg["pair"]),
-            slot=slot,
-            image=image,
+            slot=msg["slot"],
+            image=read_pgm(base64.b64decode(msg["data"])),
         )
         events = self.engine.feed_frame(frame)
-        if slot == "b":
+        if frame.slot == "b":
             self._send({"type": "ack", "of": "pair", "pair": frame.pair_id})
         self._push_assists(events)
 
@@ -177,7 +162,6 @@ class _Handler(socketserver.StreamRequestHandler):
         owner.store_log(self.session_id, engine.log)
         self.engine = None
         self.session_id = None
-        self.geometry = None
         self._send({"type": "ack", "of": "session_end", "counts": counts})
 
     # -- replies -----------------------------------------------------------

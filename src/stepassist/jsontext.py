@@ -4,39 +4,20 @@ from __future__ import annotations
 import json
 from typing import Any
 
+_DECODER = json.JSONDecoder()
+
 
 def extract_first_json(text: str) -> Any:
-    """Parse the first balanced top-level JSON object embedded in text.
+    """Parse the first JSON object embedded in text.
 
-    Model replies routinely wrap JSON in prose or code fences; this scans for
-    the first '{', tracks brace depth while honoring string literals and
-    escapes, and parses the first balanced span. Raises ValueError when no
-    parseable object exists.
+    Model replies routinely wrap JSON in prose or code fences; this decodes
+    at each '{' in turn and returns the first object that parses, ignoring
+    whatever follows it. Raises ValueError when no parseable object exists.
     """
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            c = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_string = False
-            elif c == '"':
-                in_string = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        return json.loads(text[start : i + 1])
-                    except json.JSONDecodeError:
-                        break  # balanced but invalid, try the next '{'
-        start = text.find("{", start + 1)
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
     raise ValueError("no JSON object found in text")

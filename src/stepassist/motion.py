@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .trace.types import FrameRecord
 
 # blocks with intensity variance below this are treated as untextured
-LOW_TEXTURE_VARIANCE = 1.0
+LOW_TEXTURE_VARIANCE = 1
 
 Region = tuple[int, int, int, int]  # x, y, w, h
 
@@ -162,13 +162,9 @@ def estimate_flow(
         blocks = a_blocks[gy[c0 : c0 + _CHUNK_BLOCKS], gx[c0 : c0 + _CHUNK_BLOCKS]]
         blocks = blocks.astype(np.int16)
         sums = blocks.sum(axis=(1, 2), dtype=np.int64)
-        # n^2 * variance, exact in integers; a block exactly at the threshold
-        # is left to the float variance, so every decision is np.var's
+        # n^2 * variance, exact in integers
         spread = n * np.square(blocks, dtype=np.int64).sum(axis=(1, 2)) - sums * sums
-        textured = spread > limit
-        for i in np.flatnonzero(spread == limit):
-            textured[i] = not np.var(blocks[i]) < LOW_TEXTURE_VARIANCE
-        rows = np.flatnonzero(textured)
+        rows = np.flatnonzero(spread >= limit)
         if not rows.size:
             continue
         blocks, sums, sel = blocks[rows], sums[rows], c0 + rows
@@ -297,17 +293,17 @@ class AnnotationDetector:
 class SyntheticDetector:
     """Intensity-threshold blob finder for synthetic footage.
 
-    Pixels at or above ``threshold`` are grouped into 4-connected components;
-    components of at least ``min_area`` pixels become boxes (largest two kept,
+    Pixels at or above ``THRESHOLD`` are grouped into 4-connected components;
+    components of at least ``MIN_AREA`` pixels become boxes (largest two kept,
     sides unassigned).
     """
 
-    def __init__(self, threshold: int = 150, min_area: int = 16):
-        self.threshold = threshold
-        self.min_area = min_area
+    # the generator draws hand patches from 160..255 over a 20..120 background
+    THRESHOLD = 150
+    MIN_AREA = 16
 
     def detect(self, frame: FrameRecord) -> list[HandBox]:
-        mask = frame.image >= self.threshold
+        mask = frame.image >= self.THRESHOLD
         visited = np.zeros_like(mask, dtype=bool)
         blobs: list[tuple[int, int, int, int, int]] = []  # area, x, y, w, h
         hh, ww = mask.shape
@@ -328,7 +324,7 @@ class SyntheticDetector:
                     if 0 <= ny < hh and 0 <= nx < ww and mask[ny, nx] and not visited[ny, nx]:
                         visited[ny, nx] = True
                         queue.append((ny, nx))
-            if area >= self.min_area:
+            if area >= self.MIN_AREA:
                 blobs.append((area, min_x, min_y, max_x - min_x + 1, max_y - min_y + 1))
         blobs.sort(key=lambda bl: (-bl[0], bl[1], bl[2]))
         return [HandBox("unknown", x, y, w, h) for _, x, y, w, h in blobs[:2]]

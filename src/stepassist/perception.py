@@ -34,7 +34,6 @@ class SamplerConfig:
     tau_s: float = 0.3
     normal_interval: float = 1.0
     burst_interval: float = 0.5
-    pair_gap: float = 0.1
     smoothing_window: float = 0.2
 
     def __post_init__(self) -> None:
@@ -42,10 +41,6 @@ class SamplerConfig:
             raise ValueError(
                 f"need 0 < burst_interval < normal_interval, got "
                 f"{self.burst_interval} and {self.normal_interval}"
-            )
-        if not 0 < self.pair_gap < self.burst_interval:
-            raise ValueError(
-                f"pair gap {self.pair_gap} must be positive and below the burst interval"
             )
         if not 0 < self.smoothing_window <= self.normal_interval:
             raise ValueError(f"smoothing window {self.smoothing_window} out of range")
@@ -150,7 +145,7 @@ def run_sampler(trace: SessionTrace, cfg: SamplerConfig) -> list[ScheduledSample
 
     Starts at t = 0 and stops once the schedule passes the last frame
     timestamp. Each scheduled time is bound to the nearest recorded pair
-    within half the pair gap.
+    within half the session's pair gap.
     """
     pairs = trace.pairs()
     pair_times = [p.t for p in pairs]
@@ -161,7 +156,7 @@ def run_sampler(trace: SessionTrace, cfg: SamplerConfig) -> list[ScheduledSample
         t = state.next_pair_time
         motion = head_motion(trace.imu, t, cfg)
         state = schedule_next_pair(state, motion, cfg)
-        bound = bind_pair(pair_times, t, cfg.pair_gap / 2.0)
+        bound = bind_pair(pair_times, t, trace.pair_gap / 2.0)
         out.append(
             ScheduledSample(
                 scheduled_t=t,

@@ -147,7 +147,7 @@ class MissingResponseError(ReasonerOutputError):
 def parse_output(text: str) -> ReasonerOutput:
     """Parse a model reply into a ReasonerOutput.
 
-    The first balanced JSON object found in the text is used; surrounding
+    The first JSON object in the text that parses is used; surrounding
     prose is tolerated. Each failure mode raises its own error type so
     callers can log and retry meaningfully.
     """

@@ -7,6 +7,7 @@ from stepassist.checker import CheckerState, update
 from stepassist.harness.config import (
     PipelineConfig,
     ReasonerSpec,
+    StructurerSpec,
     config_from_dict,
     config_from_file,
     config_to_dict,
@@ -60,6 +61,7 @@ from stepassist.trace.types import (
 )
 
 from conftest import dead_endpoint, fixture_config, hanging_endpoint
+from test_reasoner import MockChat, content_reply
 
 IP = ExecutionStatus.IN_PROGRESS
 JS = ExecutionStatus.JUST_START
@@ -114,13 +116,7 @@ def test_replay_moments_match_the_standalone_sampler(shelf_trace):
 
 
 def test_incremental_feeding_accumulates_one_log(shelf_trace):
-    engine = SessionPipeline(
-        fixture_config(),
-        instruction=shelf_trace.instruction,
-        segments=shelf_trace.segments,
-        proactive_intervals=shelf_trace.proactive_intervals,
-        hand_boxes=shelf_trace.hand_boxes,
-    )
+    engine = SessionPipeline(fixture_config(), shelf_trace)
     streamed = []
     for record in shelf_trace.iter_sensor_records():
         if isinstance(record, ImuSample):
@@ -144,11 +140,18 @@ def test_paced_records_sleep_out_the_recorded_gaps(shelf_trace, monkeypatch):
 
 
 def bare_engine() -> SessionPipeline:
-    return SessionPipeline(
-        fixture_config(),
+    """An engine for a session with the shelf script's frame size and pair gap."""
+    session = SessionTrace(
         instruction="demo",
+        width=120,
+        height=96,
+        pair_gap=0.1,
+        frames=[],
+        imu=[],
         segments=[StepSegment(0.0, 1.0, "A", IP)],
+        proactive_intervals=[],
     )
+    return SessionPipeline(fixture_config(), session)
 
 
 def test_feeding_rejects_out_of_order_records(shelf_trace):
@@ -166,6 +169,37 @@ def test_feeding_rejects_out_of_order_records(shelf_trace):
     engine3 = bare_engine()
     with pytest.raises(ValueError, match="slot b before"):
         engine3.feed_frame(frames[1])  # slot b of pair 0 without its slot a
+
+
+def test_session_pair_gap_sets_the_binding_tolerance():
+    # every pair is recorded 0.07 s after its slot on the schedule: within
+    # half of a 0.2 s pair gap, beyond half of a 0.1 s one
+    late = generate_synthetic(shelf_script(pair_gap=0.2))
+    late.frames = [dataclasses.replace(f, timestamp=f.timestamp + 0.07) for f in late.frames]
+    for pair_gap, binds in ((0.2, True), (0.1, False)):
+        trace = dataclasses.replace(late, pair_gap=pair_gap)
+        log, _ = replay(trace, fixture_config())
+        schedule = run_sampler(trace, fixture_config().sampler)
+        assert all((s.pair is not None) == binds for s in schedule)
+        assert [ev.data["pair"] for ev in log.of_kind(SAMPLED_PAIR)] == [
+            s.pair.pair_id for s in schedule if s.pair is not None
+        ]
+        misses = [ev for ev in log.of_kind(ERROR) if ev.data["code"] == "sampling_miss"]
+        assert len(misses) == (0 if binds else len(schedule))
+
+
+@pytest.mark.parametrize("pair_gap", [0.5, 0.7, 0.0, -0.1, float("nan")])
+def test_pair_gap_outside_the_burst_interval_is_rejected(shelf_trace, pair_gap):
+    # the fixture's burst interval is 0.5 s
+    trace = dataclasses.replace(shelf_trace, pair_gap=pair_gap)
+    with pytest.raises(ValueError, match="pair gap"):
+        replay(trace, fixture_config())
+
+
+def test_frame_of_another_size_is_rejected(shelf_trace):
+    trace = dataclasses.replace(shelf_trace, width=shelf_trace.width + 8)
+    with pytest.raises(ValueError, match="geometry"):
+        replay(trace, fixture_config())
 
 
 def test_finished_engine_refuses_more_input():
@@ -363,6 +397,49 @@ def test_resolve_guideline_falls_back_to_the_instruction():
     assert titles == []
 
 
+def remote_structurer_config(corpus_dir, endpoint):
+    structurer = StructurerSpec(kind="remote", endpoint=endpoint, timeout=2.0)
+    return fixture_config(corpus_dir=str(corpus_dir), structurer=structurer)
+
+
+def test_remote_structurer_reply_gives_the_step_titles(corpus_dir):
+    reply = json.dumps(
+        {
+            "task": "Brew tea",
+            "steps": [
+                {"id": 1, "title": "Boil water"},
+                {"id": 2, "title": "Steep tea", "prerequisites": [1], "details": "3 min"},
+            ],
+        }
+    )
+    with MockChat([content_reply(f"Structured:\n{reply}")]) as mock:
+        cfg = remote_structurer_config(corpus_dir, mock.endpoint)
+        text, titles = resolve_guideline(cfg, "brew a cup of tea", [])
+    assert titles == ["Boil water", "Steep tea"]
+    assert "2. Steep tea [after 1]" in text
+    (request,) = mock.requests
+    assert request["messages"][-1]["content"].startswith("Task: Brew tea")
+
+
+@pytest.mark.parametrize("reply", ["no guideline here", '{"task": "Brew tea"}'])
+def test_malformed_structurer_reply_falls_back_to_the_raw_text(corpus_dir, reply):
+    with MockChat([content_reply(reply)]) as mock:
+        cfg = remote_structurer_config(corpus_dir, mock.endpoint)
+        text, titles = resolve_guideline(cfg, "brew a cup of tea", [])
+    assert text == (corpus_dir / "tea.txt").read_text(encoding="utf-8")
+    assert titles == []
+
+
+def test_replay_with_a_dead_structurer_endpoint_finishes(corpus_dir, standard_trace):
+    cfg = remote_structurer_config(corpus_dir, dead_endpoint())
+    text, titles = resolve_guideline(cfg, "brew a cup of tea", [])
+    assert text == (corpus_dir / "tea.txt").read_text(encoding="utf-8")
+    assert titles == []
+    log, _ = replay(standard_trace, cfg)
+    assert log.of_kind(REASONED)
+    assert all(ev.data["off_guideline"] is False for ev in log.of_kind(REASONED))
+
+
 def test_replay_with_corpus_marks_predictions_on_guideline(corpus_dir, standard_trace):
     cfg = fixture_config(corpus_dir=str(corpus_dir))
     log, _ = replay(standard_trace, cfg)
@@ -428,6 +505,11 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"flow": {"cost": "sad"}})
     with pytest.raises(ValueError, match="unknown config key flow.grid_stride"):
         config_from_dict({"flow": {"grid_stride": 4}})
+    # the session sets the pair gap; the synthetic detector's cut-offs are constants
+    for key in ("sampler.pair_gap", "detector.threshold", "detector.min_area"):
+        section, name = key.split(".")
+        with pytest.raises(ValueError, match=f"unknown config key {key}"):
+            config_from_dict({section: {name: 1}})
 
 
 def test_config_validation_failures(tmp_path):
@@ -439,6 +521,10 @@ def test_config_validation_failures(tmp_path):
         config_from_dict({"corpus_dir": str(tmp_path / "nope")})
     with pytest.raises(ValueError, match="reasoner kind"):
         PipelineConfig(reasoner=ReasonerSpec(kind="psychic")).validate()
+    with pytest.raises(ValueError, match="config sampler must be an object"):
+        config_from_dict({"sampler": 5})
+    with pytest.raises(ValueError, match="config reasoner.oracle must be an object"):
+        config_from_dict({"reasoner": {"oracle": 5}})
 
 
 def test_config_round_trips_through_dict_and_file(tmp_path):

@@ -130,8 +130,6 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(burst_interval=1.5)
     with pytest.raises(ValueError):
-        SamplerConfig(pair_gap=0.6)
-    with pytest.raises(ValueError):
         SamplerConfig(smoothing_window=2.0)
     with pytest.raises(ValueError):
         SamplerConfig(tau_s=0.0)

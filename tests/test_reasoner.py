@@ -85,6 +85,26 @@ def test_parse_tolerates_surrounding_prose():
     assert out.response is None and out.reasoning is None
 
 
+def test_parse_takes_the_first_object_that_parses():
+    # braces inside a string do not close the object
+    out = parse_output('{"step": "Fold {the} flap}", "status": "in_progress", "proactive": false}')
+    assert out.step == "Fold {the} flap}"
+    # an invalid {...} is skipped for the valid object after it
+    out = parse_output(f"Guess: {{step: water}} Final: {VALID_REPLY}")
+    assert out.step == "Measure water"
+    # a nested object belongs to the outer reply
+    out = parse_output(
+        '{"step": "X", "status": "in_progress", "proactive": false, '
+        '"reasoning": {"seen": {"hand": "left"}}}'
+    )
+    assert out.step == "X" and out.reasoning == "{'seen': {'hand': 'left'}}"
+    # an unclosed '{' is passed over, or leaves nothing to parse
+    out = parse_output(f"{{ unclosed {VALID_REPLY}")
+    assert out.step == "Measure water"
+    with pytest.raises(NoJsonError):
+        parse_output('{"step": "X", "status": "in_progress"')
+
+
 def test_parse_error_kinds_are_distinct():
     with pytest.raises(NoJsonError):
         parse_output("the user is boiling water")

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import socket
 import threading
@@ -25,6 +26,7 @@ from stepassist.trace.synthetic import (
     PhaseSpec,
     StepPlan,
     generate_synthetic,
+    standard_script,
 )
 from stepassist.trace.types import ExecutionStatus
 
@@ -113,6 +115,18 @@ def test_streamed_session_matches_batch_replay(server):
         "deliveries": len(delivered(batch_log)),
         "errors": len(batch_log.of_kind(ERROR)),
     }
+
+
+def test_session_with_its_own_pair_gap_serves_like_its_replay(server):
+    trace = generate_synthetic(dataclasses.replace(standard_script(), pair_gap=0.2))
+    host, port = server.address
+    result = stream_session(trace, host, port, session_id="wide-gap")
+
+    batch_log, _ = replay(trace, fixture_config())
+    assert server.finished_logs["wide-gap"].dumps() == batch_log.dumps()
+    assert result.errors == []
+    assert len(batch_log.of_kind(SAMPLED_PAIR)) == 83
+    assert result.end_counts["deliveries"] == len(delivered(batch_log)) == 12
 
 
 def test_concurrent_sessions_stay_isolated(server):
@@ -210,11 +224,13 @@ def test_protocol_mismatch_closes_the_connection(server):
         assert recv() is None  # server hung up
 
 
-def test_pair_gap_mismatch_is_refused(server):
+@pytest.mark.parametrize("pair_gap", [0.5, 0.7, 0.0, -0.1, float("nan")])
+def test_pair_gap_outside_the_burst_interval_is_a_stream_fault(server, pair_gap):
+    # the fixture's burst interval is 0.5 s
     with raw_client(server) as (send, recv):
-        send(start_message(pair_gap=0.2))
+        send(start_message(pair_gap=pair_gap))
         err = recv()
-        assert err["code"] == "bad_message" and "pair_gap" in err["detail"]
+        assert err["code"] == "bad_stream" and "pair gap" in err["detail"]
         send(start_message())  # the connection is still usable
         assert recv()["of"] == "session_start"
 
@@ -410,7 +426,6 @@ def test_cli_sets_every_config_flag(tmp_path, monkeypatch, capsys, corpus_dir):
         "--normal-interval": ("2.0", lambda c: c.sampler.normal_interval, 2.0),
         "--burst-interval": ("0.8", lambda c: c.sampler.burst_interval, 0.8),
         "--smoothing-window": ("0.4", lambda c: c.sampler.smoothing_window, 0.4),
-        "--pair-gap": ("0.2", lambda c: c.sampler.pair_gap, 0.2),
         "--tau-f": ("12.5", lambda c: c.key_moment.tau_f, 12.5),
         "--stationary-threshold": ("2.5", lambda c: c.key_moment.stationary_threshold, 2.5),
         "--block": ("6", lambda c: c.flow.block, 6),
