@@ -47,7 +47,6 @@ class CheckerState:
 class SuppressReason(str, Enum):
     REDUNDANT_STATE = "redundant_state"
     NO_PROACTIVE_NEED = "no_proactive_need"
-    MALFORMED = "malformed"
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,6 @@ _CONFIG_FLAGS: list[tuple[str, str, dict]] = [
     ("--flip-rate", "reasoner.oracle.proactive_flip_rate",
      {"type": float, "help": "Oracle proactive flip rate"}),
     ("--oracle-seed", "reasoner.oracle.seed", {"type": int}),
-    ("--record-latency", "record_latency",
-     {"action": "store_const", "const": True,
-      "help": "Record wall-clock stage latencies in the event log"}),
 ]
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -54,7 +55,6 @@ class PipelineConfig:
     detector: DetectorSpec = DetectorSpec()
     structurer: StructurerSpec = StructurerSpec()
     corpus_dir: str | None = None
-    record_latency: bool = False
 
     def validate(self) -> "PipelineConfig":
         """Fail fast on anything a run would only trip over mid-session."""
@@ -73,21 +73,32 @@ class PipelineConfig:
         return self
 
 
+def _fits(value: Any, tp: type) -> bool:
+    """An int fits a float field too; a bool fits only a bool field."""
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
 def _build(cls: type, obj: Any, path: str) -> Any:
-    """Build dataclass ``cls`` from a JSON object; a dict given for a field
-    whose default is a dataclass builds that field."""
+    """Build dataclass ``cls`` from a JSON object; a dict given for a
+    dataclass-typed field builds that field, and every other value must fit
+    its field's annotated type."""
     if not isinstance(obj, dict):
         where = f" {path}" if path else ""
         raise ValueError(f"config{where} must be an object, got {obj!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    types = typing.get_type_hints(cls)  # one per dataclass field
     kwargs: dict[str, Any] = {}
     for key, value in obj.items():
         name = f"{path}.{key}" if path else key
-        if key not in fields:
+        if key not in types:
             raise ValueError(f"unknown config key {name}")
-        default = fields[key].default
-        if dataclasses.is_dataclass(default):
-            value = _build(type(default), value, name)
+        tp = types[key]
+        if dataclasses.is_dataclass(tp):
+            value = _build(tp, value, name)
+        elif not any(_fits(value, t) for t in typing.get_args(tp) or (tp,)):  # X | None
+            want = getattr(tp, "__name__", tp)
+            raise ValueError(f"config key {name} must be {want}, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 

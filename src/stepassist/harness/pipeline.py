@@ -13,7 +13,7 @@ import math
 import time
 from typing import Iterator, Sequence
 
-from ..checker import CheckerState, DeliveryDecision, update
+from ..checker import CheckerState, update
 from ..context import (
     GuidelineCorpus,
     GuidelineFormatError,
@@ -38,6 +38,7 @@ from ..motion import (
 from ..perception import (
     SamplerState,
     bind_pair,
+    drop_unreachable,
     head_motion,
     schedule_next_pair,
     select_key_moment,
@@ -139,6 +140,11 @@ class SessionPipeline:
 
     ``session`` sets the instruction, the frame size, the pair gap and the
     annotations; its ``frames`` and ``imu`` are never read.
+
+    ``imu`` and ``pairs`` hold a causal window, not the session: as each
+    scheduled time resolves, ``drop_unreachable`` cuts what no later time can
+    use, back to ``smoothing_window`` and half the pair gap before it. The
+    schedule only moves forward, so the cuts never change a result.
     """
 
     def __init__(
@@ -164,9 +170,7 @@ class SessionPipeline:
 
         if reasoner is None:
             if cfg.reasoner.kind == "oracle":
-                reasoner = OracleReasoner(
-                    session.segments, session.proactive_intervals, cfg.reasoner.oracle
-                )
+                reasoner = OracleReasoner.from_trace(session, cfg.reasoner.oracle)
             else:
                 reasoner = RemoteReasoner(
                     cfg.reasoner.endpoint, cfg.reasoner.model, cfg.reasoner.timeout
@@ -179,7 +183,7 @@ class SessionPipeline:
         self.checker_state = CheckerState()
         self.imu: list[ImuSample] = []
         self.pairs: list[FramePair] = []
-        self.pair_times: list[float] = []
+        self.pair_count = 0
         self._pending_a: dict[int, FrameRecord] = {}
         self._last_frame_t: float | None = None
         self._finished = False
@@ -213,7 +217,7 @@ class SessionPipeline:
         if first is None:
             raise ValueError(f"frame pair {frame.pair_id} got slot b before slot a")
         self.pairs.append(FramePair(frame.pair_id, first.timestamp, first, frame))
-        self.pair_times.append(first.timestamp)
+        self.pair_count += 1
         return self._advance(finished=False)
 
     def finish(self) -> list[Event]:
@@ -230,35 +234,25 @@ class SessionPipeline:
 
     def _can_resolve(self, t: float, finished: bool) -> bool:
         if finished:
-            return True
+            # the last frame timestamp bounds the schedule, like batch replay
+            return self.pair_count > 0 and t <= self._last_frame_t
         if not self.imu or self.imu[-1].timestamp < t:
             return False  # motion estimate not causal yet
         # binding is decided once the frame stream has passed t + tolerance
-        return bool(self.pair_times) and self.pair_times[-1] > t + self._bind_tolerance
+        return bool(self.pairs) and self.pairs[-1].t > t + self._bind_tolerance
 
     def _advance(self, finished: bool) -> list[Event]:
-        produced: list[Event] = []
-        horizon = self.pair_times[-1] if self.pair_times else None
-        while True:
-            t = self.sampler_state.next_pair_time
-            if finished and (horizon is None or t > self._session_end()):
-                break
-            if not self._can_resolve(t, finished):
-                break
-            produced.extend(self._resolve_moment(t))
-        return produced
-
-    def _session_end(self) -> float:
-        # the last frame timestamp bounds the schedule, like batch replay
-        return self._last_frame_t if self._last_frame_t is not None else -1.0
-
-    def _resolve_moment(self, t: float) -> list[Event]:
         before = len(self.log)
+        while self._can_resolve(self.sampler_state.next_pair_time, finished):
+            self._resolve_moment(self.sampler_state.next_pair_time)
+        return self.log.events[before:]
+
+    def _resolve_moment(self, t: float) -> None:
+        drop_unreachable(self.imu, self.pairs, t, self.cfg.sampler, self._bind_tolerance)
         motion = head_motion(self.imu, t, self.cfg.sampler)
         self.sampler_state = schedule_next_pair(self.sampler_state, motion, self.cfg.sampler)
-        mode = self.sampler_state.mode
 
-        idx = bind_pair(self.pair_times, t, self._bind_tolerance)
+        idx = bind_pair([p.t for p in self.pairs], t, self._bind_tolerance)
         if idx is None:
             self.log.append(
                 ERROR,
@@ -267,7 +261,7 @@ class SessionPipeline:
                 detail=f"no recorded pair within {self._bind_tolerance}s of schedule",
                 scheduled_t=t,
             )
-            return self.log.events[before:]
+            return
         pair = self.pairs[idx]
 
         self.log.append(
@@ -275,30 +269,27 @@ class SessionPipeline:
             pair.t,
             pair=pair.pair_id,
             scheduled_t=t,
-            mode=mode,
+            mode=self.sampler_state.mode,
             motion=motion,
         )
 
-        flow_started = time.perf_counter()
         hands = detect_hands(pair.frame_a, self.detector)
         moment = select_key_moment(pair, hands, self.cfg.key_moment, self.cfg.flow)
-        flow_seconds = time.perf_counter() - flow_started
         if moment is None:
-            return self.log.events[before:]
+            return
 
         motion_text = textualize_motion(moment.flows, self.cfg.key_moment.stationary_threshold)
-        key_data = {
-            "pair": pair.pair_id,
-            "trigger_magnitude": moment.trigger_magnitude,
-            "flows": [
+        self.log.append(
+            KEY_MOMENT,
+            pair.t,
+            pair=pair.pair_id,
+            trigger_magnitude=moment.trigger_magnitude,
+            flows=[
                 {"side": side, "dx": f.dx, "dy": f.dy, "magnitude": f.magnitude}
                 for side, f in moment.flows.items()
             ],
-            "motion_text": motion_text,
-        }
-        if self.cfg.record_latency:
-            key_data["flow_seconds"] = flow_seconds
-        self.log.append(KEY_MOMENT, pair.t, **key_data)
+            motion_text=motion_text,
+        )
 
         inp = ReasonerInput(
             timestamp=pair.t,
@@ -308,7 +299,6 @@ class SessionPipeline:
             image_ref=frame_file_name(pair.pair_id, "b"),
             image=pair.frame_b.image,
         )
-        reason_started = time.perf_counter()
         try:
             out = self.reasoner.reason(inp)
         except RemoteReasonerError as exc:
@@ -316,8 +306,7 @@ class SessionPipeline:
             self.log.append(
                 ERROR, pair.t, code="reasoner_unavailable", detail=str(exc), pair=pair.pair_id
             )
-            return self.log.events[before:]
-        reason_seconds = time.perf_counter() - reason_started
+            return
 
         if isinstance(out, MalformedOutput):
             # moment dropped whole: no reasoned event, checker untouched
@@ -329,22 +318,21 @@ class SessionPipeline:
                 attempts=out.attempts,
                 pair=pair.pair_id,
             )
-            return self.log.events[before:]
+            return
 
         if self.step_titles:
             out = flag_off_guideline(out, self.step_titles)
-        reasoned_data = {
-            "pair": pair.pair_id,
-            "step": out.step,
-            "status": out.status.value,
-            "proactive": out.proactive,
-            "response": out.response,
-            "reasoning": out.reasoning,
-            "off_guideline": out.off_guideline,
-        }
-        if self.cfg.record_latency:
-            reasoned_data["reason_seconds"] = reason_seconds
-        self.log.append(REASONED, pair.t, **reasoned_data)
+        self.log.append(
+            REASONED,
+            pair.t,
+            pair=pair.pair_id,
+            step=out.step,
+            status=out.status.value,
+            proactive=out.proactive,
+            response=out.response,
+            reasoning=out.reasoning,
+            off_guideline=out.off_guideline,
+        )
 
         prior_active = self.checker_state.active_step
         self.checker_state, decision = update(self.checker_state, out, self.cfg.checker)
@@ -356,22 +344,12 @@ class SessionPipeline:
                 to_step=self.checker_state.active_step,
                 history=list(self.checker_state.history.completed),
             )
-        self._append_delivery(pair.t, out.step, out.status.value, decision)
-        return self.log.events[before:]
-
-    def _append_delivery(
-        self, t: float, step: str, status: str, decision: DeliveryDecision
-    ) -> None:
-        data = {
-            "deliver": decision.deliver,
-            "step": step,
-            "status": status,
-        }
+        data = {"deliver": decision.deliver, "step": out.step, "status": out.status.value}
         if decision.deliver:
             data["response"] = decision.response
         else:
             data["suppress_reason"] = decision.suppress_reason.value
-        self.log.append(DELIVERY, t, **data)
+        self.log.append(DELIVERY, pair.t, **data)
 
 
 def sensor_records(

@@ -158,7 +158,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def _on_session_end(self, owner: "PipelineServer") -> None:
         engine = self.engine
         self._push_assists(engine.finish())
-        counts = {"pairs": len(engine.pairs), **run_counts(engine.log)}
+        counts = {"pairs": engine.pair_count, **run_counts(engine.log)}
         owner.store_log(self.session_id, engine.log)
         self.engine = None
         self.session_id = None

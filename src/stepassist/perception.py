@@ -130,6 +130,18 @@ def bind_pair(
     return best
 
 
+def drop_unreachable(
+    imu: list[ImuSample], pairs: list[FramePair], t: float, cfg: SamplerConfig, tolerance: float
+) -> None:
+    """Drop the records no schedule time from t on can use: the samples before
+    the latest one at or before t - smoothing_window (where ``head_motion``'s
+    window and fallback start) and the pairs more than ``tolerance`` before t
+    (which ``bind_pair`` rejects). Both only recede as the schedule advances."""
+    del imu[: max(bisect_right(imu, t - cfg.smoothing_window, key=_TIMESTAMP) - 1, 0)]
+    while pairs and t - pairs[0].t > tolerance:
+        del pairs[0]
+
+
 @dataclass(frozen=True)
 class ScheduledSample:
     """One stop of the sampler walk; ``pair`` is None on a sampling miss."""

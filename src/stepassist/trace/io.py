@@ -261,6 +261,9 @@ def validate_session(trace: SessionTrace) -> ValidationReport:
         if prev_t is not None and s.timestamp < prev_t:
             rep.add("imu_order", f"imu sample {i} timestamp {s.timestamp} decreases past {prev_t}")
         prev_t = s.timestamp
+    if trace.imu and trace.imu[0].timestamp > 0:
+        # the sampler's schedule starts at t = 0 and needs a sample at or before it
+        rep.add("imu_start", f"first imu sample at t={trace.imu[0].timestamp} is after t=0")
 
     ordered = sorted(range(len(trace.segments)), key=lambda i: trace.segments[i].start)
     for a, b in zip(ordered, ordered[1:]):

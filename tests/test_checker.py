@@ -201,7 +201,7 @@ def test_checker_config_validation():
 
 def test_delivery_decision_invariant():
     with pytest.raises(ValueError):
-        DeliveryDecision(deliver=True, suppress_reason=SuppressReason.MALFORMED)
+        DeliveryDecision(deliver=True, suppress_reason=SuppressReason.NO_PROACTIVE_NEED)
     with pytest.raises(ValueError):
         DeliveryDecision(deliver=False)
 

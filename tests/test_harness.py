@@ -1,7 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepassist.checker import CheckerState, update
 from stepassist.harness.config import (
@@ -38,7 +41,7 @@ from stepassist.harness.report import (
     write_report,
 )
 from stepassist.metrics import MetricsReport, compute_metrics
-from stepassist.perception import run_sampler
+from stepassist.perception import SamplerConfig, run_sampler
 from stepassist.reasoner import (
     MalformedOutput,
     OracleReasoner,
@@ -52,9 +55,11 @@ from stepassist.trace.synthetic import (
     StepPlan,
     SyntheticScript,
     generate_synthetic,
+    standard_script,
 )
 from stepassist.trace.types import (
     ExecutionStatus,
+    FrameRecord,
     ImuSample,
     SessionTrace,
     StepSegment,
@@ -224,6 +229,147 @@ def test_dropped_pair_surfaces_as_sampling_miss():
     assert [ev.data["scheduled_t"] for ev in later] == [5.0, 6.0, 7.0, 8.0]
 
 
+# -- the causal window ---------------------------------------------------------
+
+
+def feed(engine, records, after_each=None):
+    for record in records:
+        if isinstance(record, ImuSample):
+            engine.feed_imu(record)
+        else:
+            engine.feed_frame(record)
+        if after_each is not None:
+            after_each(engine)
+    engine.finish()
+    return engine.log
+
+
+def schedule_outcomes(log):
+    """(scheduled time, pair, mode, motion) per sampled pair; (time, None) per miss."""
+    out = []
+    for ev in log:
+        if ev.kind == SAMPLED_PAIR:
+            data = ev.data
+            out.append((data["scheduled_t"], data["pair"], data["mode"], data["motion"]))
+        elif ev.kind == ERROR and ev.data["code"] == "sampling_miss":
+            out.append((ev.data["scheduled_t"], None))
+    return out
+
+
+@st.composite
+def windowed_sessions(draw):
+    """A small session whose pairs sit on, near, or exactly a binding
+    tolerance from schedule times, plus one cross-stream feed order."""
+    rnd = draw(st.randoms(use_true_random=False))
+    pair_gap = draw(st.sampled_from([0.1, 0.125]))
+    tol = pair_gap / 2
+    # schedule times are multiples of the 0.5 s burst interval; a pair a gap
+    # early ends on one, which can be the schedule's last
+    jitter = st.one_of(
+        st.sampled_from([-pair_gap, -tol, 0.0, tol]), st.floats(-1.5 * tol, 1.5 * tol)
+    )
+    slots = draw(st.lists(st.one_of(st.none(), jitter), min_size=2, max_size=24))
+    if all(j is None for j in slots):
+        slots[0] = 0.0
+    image = np.zeros((16, 16), dtype=np.uint8)
+    frames = []
+    for pair_id, j in enumerate(slots):
+        if j is not None:
+            t = max(0.0, pair_id * 0.5 + j)
+            frames.append(FrameRecord(t, pair_id, "a", image))
+            frames.append(FrameRecord(t + pair_gap, pair_id, "b", image))
+
+    period = draw(st.floats(0.02, 0.4))
+    offset = draw(st.floats(0.0, 1.0)) * period
+    end = frames[-1].timestamp + draw(st.floats(-1.0, 1.0))
+    imu_times = [0.0] + [offset + k * period for k in range(int(end / period) + 1)]
+    imu = [ImuSample(t, 0.5 if rnd.random() < 0.3 else 0.1, 0, 0) for t in sorted(set(imu_times))]
+
+    # each stream arrives in order, after its own delays
+    arrivals = []
+    for stream, records in enumerate((imu, frames)):
+        lag, last = rnd.uniform(0.0, 3.0), 0.0
+        for record in records:
+            last = max(last, record.timestamp + lag * rnd.random())
+            arrivals.append((last, stream, record))
+    order = [r for _, _, r in sorted(arrivals, key=lambda a: a[:2])]
+    session = SessionTrace(
+        instruction="demo",
+        width=16,
+        height=16,
+        pair_gap=pair_gap,
+        frames=frames,
+        imu=imu,
+        segments=[StepSegment(0.0, frames[-1].timestamp, "A", IP)],
+        proactive_intervals=[],
+    )
+    smoothing = draw(st.sampled_from([0.05, 0.2, 0.25, 0.5]))
+    return session, order, SamplerConfig(smoothing_window=smoothing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(windowed_sessions())
+def test_windowed_engine_schedules_like_the_full_trace_sampler(case):
+    session, order, sampler = case
+    engine = SessionPipeline(PipelineConfig(sampler=sampler), session)
+    log = feed(engine, order)
+    expected = [
+        (s.scheduled_t, s.pair.pair_id, s.mode, s.motion) if s.pair else (s.scheduled_t, None)
+        for s in run_sampler(session, sampler)
+    ]
+    assert schedule_outcomes(log) == expected
+    assert engine.pair_count == len(session.pairs())
+
+
+def kitchen_script(repeats: int) -> SyntheticScript:
+    """The standard kitchen script with its 72 s of steps played ``repeats`` times."""
+    base = standard_script()
+    span = base.total_duration
+
+    def repeated(items, shift):
+        return tuple(shift(x, span * r) for r in range(repeats) for x in items)
+
+    def shift_move(move, d):
+        return dataclasses.replace(move, start=move.start + d, end=move.end + d)
+
+    return dataclasses.replace(
+        base,
+        steps=base.steps * repeats,
+        burst_windows=repeated(base.burst_windows, lambda w, d: (w[0] + d, w[1] + d)),
+        hands=tuple(
+            dataclasses.replace(h, moves=repeated(h.moves, shift_move)) for h in base.hands
+        ),
+    )
+
+
+def test_held_records_are_bounded_by_the_config_not_the_session_length():
+    cfg = fixture_config()
+    script = standard_script()
+    # after a cut at t, the window reaches back to the last sample at or
+    # before t - smoothing_window (or t - tolerance for pairs); the next
+    # moment (at most normal_interval on) resolves once a pair completes
+    # past it + tolerance, at most one frame slot and one pair gap later
+    tol = script.pair_gap / 2
+    reach = cfg.sampler.normal_interval + tol + script.frame_grid + script.pair_gap
+    imu_bound = (cfg.sampler.smoothing_window + reach) / script.imu_period + 2
+    pair_bound = (tol + reach) / script.frame_grid + 1
+
+    def held_sizes(repeats):
+        held = {"imu": 0, "pairs": 0}
+
+        def check(engine):
+            assert len(engine.imu) <= imu_bound and len(engine.pairs) <= pair_bound
+            held["imu"] = max(held["imu"], len(engine.imu))
+            held["pairs"] = max(held["pairs"], len(engine.pairs))
+
+        trace = generate_synthetic(kitchen_script(repeats))
+        feed(SessionPipeline(cfg, trace), trace.iter_sensor_records(), check)
+        return held
+
+    assert kitchen_script(9).total_duration >= 600.0
+    assert held_sizes(1) == held_sizes(9)
+
+
 class Tamper:
     """Wraps a reasoner and garbles its reply at scripted timestamps."""
 
@@ -356,20 +502,6 @@ def test_redundant_states_are_suppressed(shelf_trace):
     assert delivered.data["response"]
     reasons = {ev.data.get("suppress_reason") for ev in deliveries if not ev.data["deliver"]}
     assert reasons == {"no_proactive_need", "redundant_state"}
-
-
-def test_latency_fields_appear_only_on_request(shelf_trace):
-    quiet_log, _ = replay(shelf_trace, fixture_config())
-    for ev in quiet_log.of_kind(KEY_MOMENT):
-        assert "flow_seconds" not in ev.data
-    for ev in quiet_log.of_kind(REASONED):
-        assert "reason_seconds" not in ev.data
-
-    timed_log, _ = replay(shelf_trace, fixture_config(record_latency=True))
-    for ev in timed_log.of_kind(KEY_MOMENT):
-        assert ev.data["flow_seconds"] >= 0.0
-    for ev in timed_log.of_kind(REASONED):
-        assert ev.data["reason_seconds"] >= 0.0
 
 
 # -- guideline resolution ------------------------------------------------------
@@ -510,6 +642,9 @@ def test_config_rejects_unknown_keys():
         section, name = key.split(".")
         with pytest.raises(ValueError, match=f"unknown config key {key}"):
             config_from_dict({section: {name: 1}})
+    # stage timings never enter the event log
+    with pytest.raises(ValueError, match="unknown config key record_latency"):
+        config_from_dict({"record_latency": True})
 
 
 def test_config_validation_failures(tmp_path):
@@ -525,10 +660,26 @@ def test_config_validation_failures(tmp_path):
         config_from_dict({"sampler": 5})
     with pytest.raises(ValueError, match="config reasoner.oracle must be an object"):
         config_from_dict({"reasoner": {"oracle": 5}})
+    # every leaf must fit its field's type; a bool is not an int
+    bad_leaves = [
+        ({"flow": {"block": 2.5}}, "flow.block"),
+        ({"reasoner": {"timeout": "5"}}, "reasoner.timeout"),
+        ({"sampler": {"tau_s": "abc"}}, "sampler.tau_s"),
+        ({"corpus_dir": {}}, "corpus_dir"),
+        ({"checker": {"window": True}}, "checker.window"),
+    ]
+    for obj, key in bad_leaves:
+        with pytest.raises(ValueError, match=f"config key {key} must be"):
+            config_from_dict(obj)
+    # an int fits a float field, and None an optional one
+    cfg = config_from_dict({"reasoner": {"timeout": 5, "model": None}})
+    assert (cfg.reasoner.timeout, cfg.reasoner.model) == (5, None)
 
 
 def test_config_round_trips_through_dict_and_file(tmp_path):
-    cfg = fixture_config(record_latency=True)
+    cfg = fixture_config(
+        structurer=StructurerSpec(kind="remote", endpoint="http://127.0.0.1:9/chat")
+    )
     rebuilt = config_from_dict(config_to_dict(cfg))
     assert rebuilt == cfg
 
@@ -538,7 +689,7 @@ def test_config_round_trips_through_dict_and_file(tmp_path):
             {
                 "sampler": {"smoothing_window": 0.25},
                 "reasoner": {"oracle": {"step_error_rate": 0.2, "seed": 7}},
-                "record_latency": True,
+                "detector": {"kind": "synthetic"},
             }
         ),
         encoding="utf-8",
@@ -547,5 +698,5 @@ def test_config_round_trips_through_dict_and_file(tmp_path):
     assert loaded.sampler.smoothing_window == 0.25
     assert loaded.reasoner.oracle.step_error_rate == 0.2
     assert loaded.reasoner.oracle.seed == 7
-    assert loaded.record_latency is True
+    assert loaded.detector.kind == "synthetic"
     assert dataclasses.asdict(loaded)["flow"] == dataclasses.asdict(PipelineConfig())["flow"]

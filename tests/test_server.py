@@ -443,7 +443,6 @@ def test_cli_sets_every_config_flag(tmp_path, monkeypatch, capsys, corpus_dir):
         "--status-error-rate": ("0.2", lambda c: c.reasoner.oracle.status_error_rate, 0.2),
         "--flip-rate": ("0.3", lambda c: c.reasoner.oracle.proactive_flip_rate, 0.3),
         "--oracle-seed": ("7", lambda c: c.reasoner.oracle.seed, 7),
-        "--record-latency": (None, lambda c: c.record_latency, True),
     }
     assert set(expected) == {flag for flag, _, _ in cli._CONFIG_FLAGS}
     argv = ["serve", "--port", "0"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -238,6 +239,11 @@ def test_imu_problems_flagged():
     tr = valid_trace()
     tr.imu[3] = ImuSample(tr.imu[2].timestamp - 0.5, 0.0, 0.0, 0.0)
     assert "imu_order" in kinds(tr)
+
+    # the schedule starts at t = 0, so the gyro must too
+    tr = valid_trace()
+    tr.imu = [dataclasses.replace(s, timestamp=s.timestamp + 0.01) for s in tr.imu]
+    assert kinds(tr) == {"imu_start"}
 
 
 def test_segment_overlap_names_both_segments():
