@@ -2,8 +2,9 @@
 
 SessionPipeline consumes IMU samples and frames in timestamp order and
 resolves each scheduled pair as soon as causality allows: the IMU must have
-reached the scheduled time and the frame stream must have passed the binding
-tolerance (or ended). Batch replay and the live socket server both drive this
+passed the scheduled time (a later sample at that time could still arrive
+until then) and the frame stream must have passed the binding tolerance (or
+ended). Batch replay and the live socket server both drive this
 same engine, so a replayed trace and the same trace streamed over TCP produce
 identical event sequences by construction.
 """
@@ -192,11 +193,14 @@ class SessionPipeline:
 
     def feed_imu(self, sample: ImuSample) -> list[Event]:
         self._check_open()
-        if not all(math.isfinite(v) for v in (sample.timestamp, sample.gx, sample.gy, sample.gz)):
+        if not (math.isfinite(sample.timestamp) and math.isfinite(sample.gx)
+                and math.isfinite(sample.gy) and math.isfinite(sample.gz)):
             raise ValueError(f"imu sample at t={sample.timestamp} has a non-finite field")
         if self.imu and sample.timestamp < self.imu[-1].timestamp:
             raise ValueError("imu samples must arrive in timestamp order")
         self.imu.append(sample)
+        if sample.timestamp <= self.sampler_state.next_pair_time:
+            return []  # nothing resolves before an imu sample passes the schedule
         return self._advance(finished=False)
 
     def feed_frame(self, frame: FrameRecord) -> list[Event]:
@@ -236,8 +240,9 @@ class SessionPipeline:
         if finished:
             # the last frame timestamp bounds the schedule, like batch replay
             return self.pair_count > 0 and t <= self._last_frame_t
-        if not self.imu or self.imu[-1].timestamp < t:
-            return False  # motion estimate not causal yet
+        if not self.imu or self.imu[-1].timestamp <= t:
+            # motion estimate not causal yet: another sample at t may follow
+            return False
         # binding is decided once the frame stream has passed t + tolerance
         return bool(self.pairs) and self.pairs[-1].t > t + self._bind_tolerance
 

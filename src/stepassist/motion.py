@@ -11,13 +11,27 @@ The search runs over batches of blocks and skips candidates that cannot win,
 with the same result as costing them all. Candidates are listed in tie-break
 order, so a block's match is its least (cost, position in the list). The
 successive elimination algorithm (W. Li and E. Salari, IEEE TIP 4(1), 1995)
-bounds every cost from below, |sum(block) - sum(window)| <= SAD, with each
-window sum read from one integral image of the second frame. A block's
-incumbent is the exact cost at (0, 0) or, if lower, at one of a few
-smallest-bound candidates, and only candidates whose bound does not exceed
-it are costed exactly. A skipped candidate's bound is strictly greater, so
-its cost exceeds the incumbent, which is at least the minimum: every
-candidate tied for the minimum is costed, and the tie-break sees them all.
+bounds every cost from below, |sum(block) - sum(window)| <= SAD, with the
+sums of every window of the search area built by repeated doubling. A
+block's least-bound candidate is costed first; if its cost equals its bound,
+it is the match, since no candidate costs less than its own bound and the
+first least bound in order is the one taken; a batch whose blocks all
+settle this way needs nothing more. Otherwise the incumbent is the least
+cost there, at (0, 0) and at a few more smallest-bound candidates, and only
+candidates whose bound does not exceed it are costed exactly. A skipped
+candidate's bound is strictly greater, so its cost exceeds the incumbent,
+which is at least the minimum: every candidate tied for the minimum is
+costed, and the tie-break sees them all.
+
+A call's index tables come from a plan cached per search geometry: the
+block origins, each candidate's step in the padded window-sum grid and in
+the frame, and a block's pixel offsets. The key is everything the tables
+depend on: region size, block, radius, search-area shape, the region's
+offset in that area, and frame width; so every interior hand box of one size
+shares a plan. Each table is O(blocks + candidates), never one entry per
+(block, candidate) pair (4 800 x 961 of them for a VGA frame at radius 15),
+and the cache keeps at most 32 plans, so its memory stays bounded however
+many geometries a session shows.
 """
 from __future__ import annotations
 
@@ -28,7 +42,7 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .trace.types import FrameRecord
 
@@ -66,17 +80,17 @@ class FlowSummary:
             raise ValueError("flow magnitude inconsistent with components")
 
 
-def _block_starts(extent: int, block: int) -> list[int]:
+def _block_starts(extent: int, block: int) -> np.ndarray:
     """Grid offsets covering [0, extent): block steps plus a clamped tail."""
     starts = list(range(0, extent - block + 1, block))
     if starts[-1] + block < extent:
         starts.append(extent - block)
-    return starts
+    return np.array(starts, np.intp)
 
 
 # Work per step of the search: blocks bounded together, candidates costed per
-# gather, and smallest-bound candidates tried for the incumbent. They bound
-# memory and time; no result depends on them.
+# gather, and smallest-bound candidates tried for a loose incumbent. They
+# bound memory and time; no result depends on them.
 _CHUNK_BLOCKS = 64
 _GATHER = 1024
 _SEEDS = 4
@@ -95,17 +109,65 @@ def _candidates(radius: int) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """Index tables for one search geometry, each O(blocks + candidates)."""
+
+    pixels: np.ndarray  # a block's pixels, as flat frame offsets from its origin
+    origins: np.ndarray  # block origins, as flat frame offsets from the area's origin
+    at: np.ndarray  # each block's (0, 0) candidate in the padded window-sum grid
+    step: np.ndarray  # each candidate's offset from there in the grid, in tie-break order
+    shift: np.ndarray  # each candidate's offset in the frame, in tie-break order
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(h: int, w: int, block: int, radius: int, area_h: int, area_w: int,
+          off_y: int, off_x: int, frame_w: int) -> _Plan:
+    """Tables for an h x w region at (off_y, off_x) in an area_h x area_w search area."""
+    by, bx = _block_starts(h, block), _block_starts(w, block)
+    oy, ox = np.repeat(by, bx.size) + off_y, np.tile(bx, by.size) + off_x
+    row = np.arange(block)
+    grid_w = area_w - block + 1 + 2 * radius  # as _window_sums pads it
+    cdx, cdy = _candidates(radius)
+    plan = _Plan(
+        pixels=(row[:, None] * frame_w + row).ravel(),
+        origins=oy * frame_w + ox,
+        at=(oy + radius) * grid_w + ox + radius,
+        step=cdy * grid_w + cdx,
+        shift=cdy * frame_w + cdx,
+    )
+    for table in (plan.pixels, plan.origins, plan.at, plan.step, plan.shift):
+        table.flags.writeable = False
+    return plan
+
+
+def _run_sums(a: np.ndarray, length: int) -> np.ndarray:
+    """Sums of every ``length`` consecutive entries of ``a`` along its first axis.
+
+    Runs of 2, 4, 8, ... entries are built by doubling, and the runs of
+    ``length``'s set bits are joined: O(log length) array additions.
+    """
+    out, done, size = None, 0, 1
+    while True:
+        if length & size:
+            out = a if out is None else out[: len(a) - done] + a[done:]
+            done += size
+        if 2 * size > length:
+            return out
+        a = a[:-size] + a[size:]
+        size *= 2
+
+
 def _window_sums(area: np.ndarray, block: int, pad: int) -> np.ndarray:
     """Sums of every block-sized window of ``area``, padded with ``_OUTSIDE``."""
     h, w = area.shape
-    integral = np.zeros((h + 1, w + 1), np.int64)
-    np.cumsum(area, axis=0, dtype=np.int64, out=integral[1:, 1:])
-    np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
+    cells = np.zeros((h + 1, w), np.int64)  # a zero row keeps the last flat runs in bounds
+    cells[:h] = area
+    cols = _run_sums(cells, block)
+    # runs along the flat array; those that cross a row end are never read
+    rows = _run_sums(cols.ravel(), block)[: (h - block + 1) * w].reshape(h - block + 1, w)
     sums = np.full((h - block + 1 + 2 * pad, w - block + 1 + 2 * pad), _OUTSIDE, np.int64)
-    inner = sums[pad : pad + h - block + 1, pad : pad + w - block + 1]
-    np.subtract(integral[block:, block:], integral[:-block, block:], out=inner)
-    inner -= integral[block:, :-block]
-    inner += integral[:-block, :-block]
+    sums[pad : pad + h - block + 1, pad : pad + w - block + 1] = rows[:, : w - block + 1]
     return sums
 
 
@@ -141,74 +203,82 @@ def estimate_flow(
     n = bs * bs
     limit = LOW_TEXTURE_VARIANCE * n * n
 
-    # block origins, row-major over the region
-    gy, gx = np.meshgrid(_block_starts(h, bs), _block_starts(w, bs), indexing="ij")
-    gy, gx = gy.ravel() + y, gx.ravel() + x
-    a_blocks = sliding_window_view(frame_a, (bs, bs))
     # every candidate window of the region lies in this area of frame_b
     sx0, sy0 = max(0, x - r), max(0, y - r)
     area = frame_b[sy0 : min(fh, y + h + r), sx0 : min(fw, x + w + r)]
-    b_windows = sliding_window_view(area, (bs, bs))
-    wsum = _window_sums(area, bs, r)
-    wflat = wsum.ravel()
-    oy, ox = gy - sy0, gx - sx0  # block origins in the area
-    at = (oy + r) * wsum.shape[1] + ox + r
+    ah, aw = area.shape
+    plan = _plan(h, w, bs, r, ah, aw, y - sy0, x - sx0, fw)
+    # both frames read flat from the area's origin, so one offset finds a
+    # block in frame_a and its window in frame_b: windows[p] is the window at
+    # offset p, up to the area's last window (strides in bytes, one a pixel)
+    base = sy0 * fw + sx0
+    a_flat, b_flat = frame_a.ravel()[base:], frame_b.ravel()[base:]
+    windows = as_strided(b_flat, ((ah - bs) * fw + aw - bs + 1, bs, bs), (1, fw, 1),
+                         writeable=False)
+    wflat = _window_sums(area, bs, r).ravel()
     cdx, cdy = _candidates(r)
-    step = cdy * wsum.shape[1] + cdx
     k_all = cdx.size
 
     used = sum_dx = sum_dy = 0
-    for c0 in range(0, gy.size, _CHUNK_BLOCKS):
-        blocks = a_blocks[gy[c0 : c0 + _CHUNK_BLOCKS], gx[c0 : c0 + _CHUNK_BLOCKS]]
-        blocks = blocks.astype(np.int16)
-        sums = blocks.sum(axis=(1, 2), dtype=np.int64)
+    for c0 in range(0, plan.origins.size, _CHUNK_BLOCKS):
+        origins = plan.origins[c0 : c0 + _CHUNK_BLOCKS]
+        blocks = np.take(a_flat, origins[:, None] + plan.pixels).astype(np.int16)
+        sums = blocks.sum(axis=1, dtype=np.int64)
         # n^2 * variance, exact in integers
-        spread = n * np.square(blocks, dtype=np.int64).sum(axis=(1, 2)) - sums * sums
+        spread = n * np.square(blocks, dtype=np.int64).sum(axis=1) - sums * sums
         rows = np.flatnonzero(spread >= limit)
         if not rows.size:
             continue
-        blocks, sums, sel = blocks[rows], sums[rows], c0 + rows
+        blocks, sums, sel = blocks[rows].reshape(-1, bs, bs), sums[rows], c0 + rows
+        at, origins = plan.at[sel], origins[rows]
         used += sel.size
 
         def cost(row: np.ndarray, cand: np.ndarray) -> np.ndarray:
-            win = b_windows[oy[sel[row]] + cdy[cand], ox[sel[row]] + cdx[cand]]
-            win = win.astype(np.int16)
+            win = windows[origins[row] + plan.shift[cand]].astype(np.int16)
             win -= blocks[row]
             np.abs(win, out=win)
-            return win.sum(axis=(1, 2), dtype=np.int64)
+            return win.sum(axis=(-2, -1), dtype=np.int64)
 
         # successive elimination: |sum(block) - sum(window)| <= SAD
-        bound = np.take(wflat, at[sel, None] + step)
+        bound = np.take(wflat, at[:, None] + plan.step)
         bound -= sums[:, None]
         np.abs(bound, out=bound)
-        # incumbent: the cost at (0, 0), first in order and always in the
-        # frame, or, if lower, at one of the smallest-bound candidates
         line = np.arange(sel.size)
-        seeds = np.zeros((_SEEDS + 1, sel.size), np.intp)  # row 0 is (0, 0)
-        held = np.zeros(seeds.shape, np.int64)
-        for j in range(1, _SEEDS + 1):  # a few argmins cost less than argpartition
-            seeds[j] = bound.argmin(axis=1)
-            held[j] = bound[line, seeds[j]]
-            bound[line, seeds[j]] = _OUTSIDE
-        for j in reversed(range(1, _SEEDS + 1)):
-            bound[line, seeds[j]] = held[j]
-        seeds[held >= _OUTSIDE // 2] = 0  # a seed outside the frame: (0, 0) again
-        incumbent = cost(np.tile(line, _SEEDS + 1), seeds.ravel())
-        incumbent = incumbent.reshape(_SEEDS + 1, -1).min(axis=0)
-        # a pruned candidate costs more than the incumbent, so more than the
-        # minimum: every candidate tied for the minimum is kept
-        keep = bound <= incumbent[:, None]
-        flat = np.flatnonzero(keep)
-        cand = flat % k_all
-        key = np.empty(flat.size, np.int64)
-        for g0 in range(0, flat.size, _GATHER):
-            part = slice(g0, g0 + _GATHER)
-            key[part] = cost(flat[part] // k_all, cand[part])
-        # least (cost, order position) per block: the tie-break of the order
-        key *= k_all
-        key += cand
-        counts = keep.sum(axis=1)
-        best = np.minimum.reduceat(key, np.cumsum(counts) - counts) % k_all
+        first = bound.argmin(axis=1)  # never outside the frame: (0, 0) is not
+        least = bound[line, first]
+        incumbent = cost(line, first)
+        if not (incumbent > least).any():
+            # each block's least-bound candidate costs its bound, and no
+            # candidate costs less than its own bound; argmin returns the
+            # first least bound in order, so that candidate is the match
+            best = first
+        else:
+            # (0, 0), first in order and always in the frame, and the next
+            # smallest-bound candidates may lower the incumbent (a few
+            # argmins cost less than argpartition)
+            seeds = np.zeros((_SEEDS, sel.size), np.intp)  # row 0 is (0, 0)
+            held = np.zeros(seeds.shape, np.int64)
+            bound[line, first] = _OUTSIDE
+            for j in range(1, _SEEDS):
+                seeds[j] = bound.argmin(axis=1)
+                held[j] = bound[line, seeds[j]]
+                bound[line, seeds[j]] = _OUTSIDE
+            bound[line, first] = least
+            bound[line, seeds[1:]] = held[1:]  # the seeds of a row are distinct
+            seeds[held >= _OUTSIDE // 2] = 0  # a seed outside the frame: (0, 0) again
+            incumbent = np.minimum(incumbent, cost(line, seeds).min(axis=0))
+            # a pruned candidate costs more than the incumbent, so more than
+            # the minimum: every candidate tied for the minimum is kept
+            flat = np.flatnonzero(bound <= incumbent[:, None])
+            cand = flat % k_all
+            key = np.empty(flat.size, np.int64)
+            for g0 in range(0, flat.size, _GATHER):
+                part = slice(g0, g0 + _GATHER)
+                key[part] = cost(flat[part] // k_all, cand[part])
+            # least (cost, order position) per block: the tie-break of the order
+            key *= k_all
+            key += cand
+            best = np.minimum.reduceat(key, np.searchsorted(flat, line * k_all)) % k_all
         sum_dx += int(cdx[best].sum())
         sum_dy += int(cdy[best].sum())
 
@@ -221,7 +291,7 @@ def estimate_flow(
         dy=mean_dy,
         magnitude=math.hypot(mean_dx, mean_dy),
         pixels_processed=w * h,
-        blocks_total=gy.size,
+        blocks_total=plan.origins.size,
         blocks_used=used,
     )
 

@@ -279,11 +279,14 @@ def windowed_sessions(draw):
             frames.append(FrameRecord(t, pair_id, "a", image))
             frames.append(FrameRecord(t + pair_gap, pair_id, "b", image))
 
-    period = draw(st.floats(0.02, 0.4))
+    # periods that divide the 0.5 s burst interval put samples on schedule times
+    period = draw(st.one_of(st.sampled_from([0.125, 0.25]), st.floats(0.02, 0.4)))
     offset = draw(st.floats(0.0, 1.0)) * period
     end = frames[-1].timestamp + draw(st.floats(-1.0, 1.0))
     imu_times = [0.0] + [offset + k * period for k in range(int(end / period) + 1)]
-    imu = [ImuSample(t, 0.5 if rnd.random() < 0.3 else 0.1, 0, 0) for t in sorted(set(imu_times))]
+    # a timestamp can repeat, with another reading
+    imu_times += [t for t in imu_times if rnd.random() < 0.2]
+    imu = [ImuSample(t, 0.5 if rnd.random() < 0.3 else 0.1, 0, 0) for t in sorted(imu_times)]
 
     # each stream arrives in order, after its own delays
     arrivals = []
@@ -319,6 +322,32 @@ def test_windowed_engine_schedules_like_the_full_trace_sampler(case):
     ]
     assert schedule_outcomes(log) == expected
     assert engine.pair_count == len(session.pairs())
+
+
+def test_a_repeated_imu_timestamp_counts_whatever_the_stream_order():
+    # two samples at t = 1.0; with the frames already past t + tolerance, the
+    # first of them used to resolve the moment before the second arrived
+    image = np.zeros((16, 16), dtype=np.uint8)
+    frames = []
+    for pair_id, t in enumerate([0.0, 1.0, 2.0, 3.0]):
+        frames += [FrameRecord(t, pair_id, "a", image), FrameRecord(t + 0.1, pair_id, "b", image)]
+    readings = [(0.0, 0.1), (0.5, 0.1), (1.0, 0.1), (1.0, 0.9), (3.5, 0.1)]
+    imu = [ImuSample(t, g, 0, 0) for t, g in readings]
+    session = SessionTrace(
+        instruction="demo",
+        width=16,
+        height=16,
+        pair_gap=0.1,
+        frames=frames,
+        imu=imu,
+        segments=[StepSegment(0.0, 3.1, "A", IP)],
+        proactive_intervals=[],
+    )
+    cfg = PipelineConfig(sampler=SamplerConfig(smoothing_window=0.25))
+    in_time = feed(SessionPipeline(cfg, session), session.iter_sensor_records())
+    frames_first = feed(SessionPipeline(cfg, session), frames + imu)
+    assert frames_first.dumps() == in_time.dumps()
+    assert (1.0, 1, "burst", 0.5) in schedule_outcomes(in_time)
 
 
 def kitchen_script(repeats: int) -> SyntheticScript:

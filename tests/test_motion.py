@@ -15,6 +15,7 @@ from stepassist.motion import (
     detect_hands,
     estimate_flow,
 )
+from stepassist import motion
 from stepassist.trace.types import FrameRecord
 
 from conftest import FIXTURE_RADIUS
@@ -152,6 +153,47 @@ def test_matches_oracle_on_generated_frames(case):
     a, b, region, cfg = case
     got = estimate_flow(a, b, region, cfg)
     assert (got.dx, got.dy, got.blocks_used, got.blocks_total) == oracle_flow(a, b, region, cfg)
+
+
+def test_matches_oracle_at_the_benchmark_geometry():
+    # the hand-box replays run 8 px blocks at radius 15 on 120x96 frames.
+    # Regions sit inside and flush with each border; two with one size and
+    # search-area shape differ only in their offset in the area, and one
+    # differs only in the frame's width. Calls interleave across geometries,
+    # so a plan cached under an incomplete key would answer the wrong call.
+    rng = np.random.default_rng(15)
+    cfg = FlowConfig(block=8, search_radius=FIXTURE_RADIUS)
+    wide = [
+        (48, 36, 16, 16),  # inside: the search area holds every candidate
+        (0, 36, 24, 24),  # flush left
+        (96, 36, 24, 24),  # flush right: same size and area shape as flush left
+        (40, 0, 19, 27),  # flush top, clamped tail blocks
+        (60, 72, 40, 24),  # flush bottom
+        (0, 0, 8, 8),  # top-left corner
+        (112, 88, 8, 8),  # bottom-right corner
+    ]
+    tall = [(36, 48, 16, 16), (0, 0, 8, 8)]  # as inside and top-left, 96 px wide
+    kinds = ["noise", "two-level", "stripes", "near-flat"]
+    pad = FIXTURE_RADIUS + 1
+    calls = []
+    for rnd in range(2):
+        for shape, regions in (((96, 120), wide), ((120, 96), tall)):
+            for region in regions:
+                kind = kinds[(len(calls) + rnd) % len(kinds)]
+                height, width = shape
+                master = texture(rng, kind, height + 2 * pad, width + 2 * pad)
+                dx, dy = rng.integers(-pad, pad + 1, 2)
+                a = master[pad : pad + height, pad : pad + width]
+                b = master[pad - dy : pad - dy + height, pad - dx : pad - dx + width]
+                calls.append((a, b, region))
+    order = rng.permutation(len(calls))
+    for i in order:
+        a, b, region = calls[i]
+        got = estimate_flow(a, b, region, cfg)
+        assert (got.dx, got.dy, got.blocks_used, got.blocks_total) == oracle_flow(a, b, region, cfg)
+    # the plans are cached, and the cache is bounded
+    assert motion._plan.cache_info().hits > 0
+    assert motion._plan.cache_info().maxsize is not None
 
 
 def test_variance_at_the_threshold_counts_as_textured():
