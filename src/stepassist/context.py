@@ -276,9 +276,6 @@ class RemoteStructurer:
         )
         try:
             obj = extract_first_json(reply)
-        except ValueError as exc:
-            raise GuidelineFormatError(f"structurer reply held no JSON: {exc}") from exc
-        try:
             steps = tuple(
                 GuidelineStep(
                     id=int(s["id"]),
@@ -349,9 +346,6 @@ class ProgressRecord:
         if step in self.completed:
             return self
         return ProgressRecord(self.completed + (step,))
-
-    def render(self) -> str:
-        return render_progress(self)
 
 
 def render_progress(record: ProgressRecord) -> str:

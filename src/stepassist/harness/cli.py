@@ -92,8 +92,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     server = PipelineServer(cfg, host=args.host, port=args.port)
     host, port = server.address
-    print(f"listening on {host}:{port}", flush=True)
-    try:
+    try:  # an interrupt during the print must still close the socket
+        print(f"listening on {host}:{port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         server.shutdown()

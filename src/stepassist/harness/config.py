@@ -20,7 +20,6 @@ from ..reasoner import OracleConfig
 
 REASONER_KINDS = ("oracle", "remote")
 DETECTOR_KINDS = ("annotation", "synthetic", "null")
-STRUCTURER_KINDS = ("scripted", "remote")
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class StructurerSpec:
-    kind: str = "scripted"
     endpoint: str | None = None
     model: str | None = None
     timeout: float = 60.0
@@ -64,10 +62,6 @@ class PipelineConfig:
             raise ValueError("remote reasoner requires an endpoint")
         if self.detector.kind not in DETECTOR_KINDS:
             raise ValueError(f"detector kind must be one of {DETECTOR_KINDS}")
-        if self.structurer.kind not in STRUCTURER_KINDS:
-            raise ValueError(f"structurer kind must be one of {STRUCTURER_KINDS}")
-        if self.structurer.kind == "remote" and not self.structurer.endpoint:
-            raise ValueError("remote structurer requires an endpoint")
         if self.corpus_dir is not None and not Path(self.corpus_dir).is_dir():
             raise ValueError(f"corpus directory {self.corpus_dir} does not exist")
         return self

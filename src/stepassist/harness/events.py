@@ -34,10 +34,8 @@ class Event:
 class EventLog:
     """Ordered event collection with JSON round-tripping."""
 
-    def __init__(self, events: list[Event] | None = None):
+    def __init__(self) -> None:
         self.events: list[Event] = []
-        for ev in events or []:
-            self.append(ev.kind, ev.t, **ev.data)
 
     def append(self, kind: str, t: float, **data: Any) -> Event:
         if self.events and t < self.events[-1].t:

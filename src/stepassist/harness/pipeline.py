@@ -50,10 +50,9 @@ from ..reasoner import (
     Reasoner,
     ReasonerInput,
     RemoteReasoner,
-    RemoteReasonerError,
     flag_off_guideline,
 )
-from ..trace.io import frame_file_name
+from ..trace.io import PAIR_GAP_TOL
 from ..trace.types import (
     FramePair,
     FrameRecord,
@@ -97,7 +96,8 @@ def resolve_guideline(
 ) -> tuple[str, list[str]]:
     """Produce the prompt's guideline text and the known step vocabulary.
 
-    With a corpus configured: retrieve by instruction, then structure. A
+    With a corpus configured: retrieve by instruction, then structure
+    (through ``structurer.endpoint`` when it is set, else by markup). A
     retrieval that cannot be structured, because the structurer's reply is
     malformed or its endpoint is unreachable, falls back to the raw document
     text (vocabulary unknown). Without a corpus, a guideline is synthesized
@@ -107,7 +107,7 @@ def resolve_guideline(
     if cfg.corpus_dir is not None:
         corpus = GuidelineCorpus.load(cfg.corpus_dir)
         result = retrieve_guideline(instruction, corpus)
-        if cfg.structurer.kind == "remote":
+        if cfg.structurer.endpoint:
             structurer = RemoteStructurer(
                 cfg.structurer.endpoint, cfg.structurer.model, cfg.structurer.timeout
             )
@@ -162,6 +162,7 @@ class SessionPipeline:
                 f"the burst interval {cfg.sampler.burst_interval}"
             )
         self.cfg = cfg
+        self._pair_gap = session.pair_gap
         self._bind_tolerance = session.pair_gap / 2.0
         self._frame_shape = (session.height, session.width)
 
@@ -220,6 +221,12 @@ class SessionPipeline:
         first = self._pending_a.pop(frame.pair_id, None)
         if first is None:
             raise ValueError(f"frame pair {frame.pair_id} got slot b before slot a")
+        gap = frame.timestamp - first.timestamp
+        if abs(gap - self._pair_gap) > PAIR_GAP_TOL:
+            raise ValueError(
+                f"frame pair {frame.pair_id} is {gap:.6f}s apart, not the session "
+                f"pair gap {self._pair_gap}s (+/- {PAIR_GAP_TOL}s)"
+            )
         self.pairs.append(FramePair(frame.pair_id, first.timestamp, first, frame))
         self.pair_count += 1
         return self._advance(finished=False)
@@ -301,12 +308,11 @@ class SessionPipeline:
             guideline_text=self.guideline_text,
             history_text=render_progress(self.checker_state.history),
             motion_text=motion_text,
-            image_ref=frame_file_name(pair.pair_id, "b"),
             image=pair.frame_b.image,
         )
         try:
             out = self.reasoner.reason(inp)
-        except RemoteReasonerError as exc:
+        except ChatEndpointError as exc:
             # moment dropped whole, like a malformed reply
             self.log.append(
                 ERROR, pair.t, code="reasoner_unavailable", detail=str(exc), pair=pair.pair_id

@@ -236,11 +236,16 @@ class PipelineServer:
         self._tcp.serve_forever()
 
     def shutdown(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
+        """Stop the serve loop ``start()`` began, if any; always close the socket.
+
+        socketserver's own shutdown waits for a running loop, so it would
+        block forever when none was started.
+        """
         if self._thread is not None:
+            self._tcp.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._tcp.server_close()
 
     def __enter__(self) -> "PipelineServer":
         self.start()

@@ -7,7 +7,7 @@ from typing import Any
 _DECODER = json.JSONDecoder()
 
 
-def extract_first_json(text: str) -> Any:
+def extract_first_json(text: str) -> dict[str, Any]:
     """Parse the first JSON object embedded in text.
 
     Model replies routinely wrap JSON in prose or code fences; this decodes

@@ -316,9 +316,6 @@ class HandBox:
     def center_x(self) -> float:
         return self.x + self.w / 2.0
 
-    def region(self) -> Region:
-        return (self.x, self.y, self.w, self.h)
-
 
 class HandDetector(Protocol):
     def detect(self, frame: FrameRecord) -> list[HandBox]: ...
@@ -351,10 +348,6 @@ class AnnotationDetector:
                 )
                 for b in boxes
             ]
-
-    @classmethod
-    def from_trace(cls, trace) -> "AnnotationDetector":
-        return cls(trace.hand_boxes)
 
     def detect(self, frame: FrameRecord) -> list[HandBox]:
         return list(self._boxes.get(frame.pair_id, []))

@@ -5,6 +5,10 @@ steps, the frame, and the textualized hand motion) and returns the current
 step, its execution status, and whether to speak up. Two interchangeable
 backends: a scripted oracle that reads ground truth (optionally corrupted at
 seeded rates, for controlled evaluation) and a remote chat-completion client.
+
+A reply that does not parse raises ReasonerOutputError, the one reply error;
+the remote client retries once on it and then returns MalformedOutput. A
+transport failure is httpchat's ChatEndpointError, raised through unchanged.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Protocol, Sequence, Union
 
-from .httpchat import ChatEndpointError, chat_complete
+from .httpchat import chat_complete
 from .jsontext import extract_first_json
 from .trace.pgm import write_pgm
 from .trace.types import (
@@ -28,9 +32,6 @@ from .trace.types import (
 __all__ = [
     "ExecutionStatus",
     "MalformedOutput",
-    "MissingFieldError",
-    "MissingResponseError",
-    "NoJsonError",
     "OracleConfig",
     "OracleReasoner",
     "Reasoner",
@@ -38,8 +39,6 @@ __all__ = [
     "ReasonerOutput",
     "ReasonerOutputError",
     "RemoteReasoner",
-    "RemoteReasonerError",
-    "UnknownStatusError",
     "assemble_prompt",
     "parse_output",
 ]
@@ -78,8 +77,7 @@ class ReasonerInput:
     guideline_text: str
     history_text: str
     motion_text: str
-    image_ref: str
-    image: object | None = None  # optional raster (2-d uint8 array)
+    image: object  # the moment's frame, a 2-d uint8 array
 
 
 @dataclass(frozen=True)
@@ -125,55 +123,37 @@ def assemble_prompt(inp: ReasonerInput) -> str:
 
 
 class ReasonerOutputError(ValueError):
-    """Base for reply-parsing failures."""
-
-
-class NoJsonError(ReasonerOutputError):
-    """The reply contains no parseable JSON object."""
-
-
-class MissingFieldError(ReasonerOutputError):
-    """The reply's JSON object lacks a required field or has a bad type."""
-
-
-class UnknownStatusError(ReasonerOutputError):
-    """The reply names an execution status outside the vocabulary."""
-
-
-class MissingResponseError(ReasonerOutputError):
-    """The reply claims proactive=true but carries no response text."""
+    """A model reply that does not parse into a ReasonerOutput."""
 
 
 def parse_output(text: str) -> ReasonerOutput:
     """Parse a model reply into a ReasonerOutput.
 
     The first JSON object in the text that parses is used; surrounding
-    prose is tolerated. Each failure mode raises its own error type so
-    callers can log and retry meaningfully.
+    prose is tolerated. Every failure raises ReasonerOutputError, whose
+    message names what was wrong, so callers can log and retry.
     """
     try:
         obj = extract_first_json(text)
     except ValueError as exc:
-        raise NoJsonError(str(exc)) from None
-    if not isinstance(obj, dict):
-        raise NoJsonError("reply JSON is not an object")
+        raise ReasonerOutputError(str(exc)) from None
 
     if "step" not in obj or not isinstance(obj["step"], str) or not obj["step"].strip():
-        raise MissingFieldError("reply lacks a step title")
+        raise ReasonerOutputError("reply lacks a step title")
     if "status" not in obj:
-        raise MissingFieldError("reply lacks a status")
+        raise ReasonerOutputError("reply lacks a status")
     try:
         status = ExecutionStatus.parse(str(obj["status"]))
     except ValueError as exc:
-        raise UnknownStatusError(str(exc)) from None
+        raise ReasonerOutputError(str(exc)) from None
     if "proactive" not in obj or not isinstance(obj["proactive"], bool):
-        raise MissingFieldError("reply lacks a boolean proactive flag")
+        raise ReasonerOutputError("reply lacks a boolean proactive flag")
     proactive = obj["proactive"]
     response = obj.get("response")
     if response is not None and not isinstance(response, str):
-        raise MissingFieldError("response must be a string")
+        raise ReasonerOutputError("response must be a string")
     if proactive and not (response and response.strip()):
-        raise MissingResponseError("proactive reply carries no response text")
+        raise ReasonerOutputError("proactive reply carries no response text")
     reasoning = obj.get("reasoning")
     if reasoning is not None:
         reasoning = str(reasoning)
@@ -268,10 +248,6 @@ class OracleReasoner:
         return self.reason_at(inp.timestamp)
 
 
-class RemoteReasonerError(RuntimeError):
-    """Transport failure reaching the remote reasoner (endpoint and moment included)."""
-
-
 _FORMAT_REMINDER = (
     "Your previous reply could not be parsed. Reply again with only a JSON "
     'object: {"step": str, "status": one of "just_start"/"in_progress"/'
@@ -288,42 +264,25 @@ class RemoteReasoner:
         self.model = model
         self.timeout = timeout
 
-    def _user_content(self, inp: ReasonerInput) -> list[dict[str, str]]:
-        if inp.image is not None:
-            return [
-                {
-                    "type": "image",
-                    "format": "pgm_base64",
-                    "data": base64.b64encode(write_pgm(inp.image)).decode("ascii"),
-                }
-            ]
-        return [{"type": "text", "text": f"[image] {inp.image_ref}"}]
-
     def reason(self, inp: ReasonerInput) -> Union[ReasonerOutput, MalformedOutput]:
+        frame = {
+            "type": "image",
+            "format": "pgm_base64",
+            "data": base64.b64encode(write_pgm(inp.image)).decode("ascii"),
+        }
         messages = [
             {"role": "system", "content": assemble_prompt(inp)},
-            {"role": "user", "content": self._user_content(inp)},
+            {"role": "user", "content": [frame]},
         ]
-        try:
+        errors: list[str] = []
+        for _ in range(2):
             reply = chat_complete(self.endpoint, messages, model=self.model, timeout=self.timeout)
-        except ChatEndpointError as exc:
-            raise RemoteReasonerError(f"{exc} (moment t={inp.timestamp})") from exc
-        try:
-            return parse_output(reply)
-        except ReasonerOutputError as first_error:
-            retry_messages = messages + [
+            try:
+                return parse_output(reply)
+            except ReasonerOutputError as exc:
+                errors.append(str(exc))
+            messages = messages + [
                 {"role": "assistant", "content": reply},
                 {"role": "user", "content": _FORMAT_REMINDER},
             ]
-            try:
-                retry_reply = chat_complete(
-                    self.endpoint, retry_messages, model=self.model, timeout=self.timeout
-                )
-            except ChatEndpointError as exc:
-                raise RemoteReasonerError(f"{exc} (moment t={inp.timestamp})") from exc
-            try:
-                return parse_output(retry_reply)
-            except ReasonerOutputError as second_error:
-                return MalformedOutput(
-                    reason=f"first: {first_error}; retry: {second_error}", attempts=2
-                )
+        return MalformedOutput(reason=f"first: {errors[0]}; retry: {errors[1]}", attempts=2)

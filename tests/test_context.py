@@ -254,4 +254,4 @@ def test_progress_record_rejects_constructed_duplicates():
 def test_render_progress_formats():
     assert render_progress(ProgressRecord()) == "[]"
     rec = ProgressRecord(("Measure water", "Boil water"))
-    assert rec.render() == "[Measure water, Boil water]"
+    assert render_progress(rec) == "[Measure water, Boil water]"

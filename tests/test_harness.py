@@ -42,11 +42,11 @@ from stepassist.harness.report import (
 )
 from stepassist.metrics import MetricsReport, compute_metrics
 from stepassist.perception import SamplerConfig, run_sampler
+from stepassist.httpchat import ChatEndpointError
 from stepassist.reasoner import (
     MalformedOutput,
     OracleReasoner,
     ReasonerOutput,
-    RemoteReasonerError,
 )
 from stepassist.trace.synthetic import (
     HandMove,
@@ -179,10 +179,11 @@ def test_feeding_rejects_out_of_order_records(shelf_trace):
 def test_session_pair_gap_sets_the_binding_tolerance():
     # every pair is recorded 0.07 s after its slot on the schedule: within
     # half of a 0.2 s pair gap, beyond half of a 0.1 s one
-    late = generate_synthetic(shelf_script(pair_gap=0.2))
-    late.frames = [dataclasses.replace(f, timestamp=f.timestamp + 0.07) for f in late.frames]
     for pair_gap, binds in ((0.2, True), (0.1, False)):
-        trace = dataclasses.replace(late, pair_gap=pair_gap)
+        trace = generate_synthetic(shelf_script(pair_gap=pair_gap))
+        trace.frames = [
+            dataclasses.replace(f, timestamp=f.timestamp + 0.07) for f in trace.frames
+        ]
         log, _ = replay(trace, fixture_config())
         schedule = run_sampler(trace, fixture_config().sampler)
         assert all((s.pair is not None) == binds for s in schedule)
@@ -500,7 +501,7 @@ class Unreachable:
 
     def reason(self, inp):
         if inp.timestamp in self.down:
-            raise RemoteReasonerError(f"endpoint down (moment t={inp.timestamp})")
+            raise ChatEndpointError("endpoint down")
         return self.inner.reason(inp)
 
 
@@ -514,6 +515,7 @@ def test_unavailable_reasoner_leaves_the_checker_untouched(shelf_trace):
     assert [(ev.t, ev.data["code"]) for ev in errors] == [
         (t, "reasoner_unavailable") for t in down_times
     ]
+    assert [ev.data["detail"] for ev in errors] == ["endpoint down"] * len(down_times)
     assert {ev.t for ev in log.of_kind(REASONED)}.isdisjoint(down_times)
     transitions, decisions = refold_checker(log, cfg)
     assert [
@@ -559,7 +561,7 @@ def test_resolve_guideline_falls_back_to_the_instruction():
 
 
 def remote_structurer_config(corpus_dir, endpoint):
-    structurer = StructurerSpec(kind="remote", endpoint=endpoint, timeout=2.0)
+    structurer = StructurerSpec(endpoint=endpoint, timeout=2.0)
     return fixture_config(corpus_dir=str(corpus_dir), structurer=structurer)
 
 
@@ -671,6 +673,9 @@ def test_config_rejects_unknown_keys():
         section, name = key.split(".")
         with pytest.raises(ValueError, match=f"unknown config key {key}"):
             config_from_dict({section: {name: 1}})
+    # the structurer is remote exactly when its endpoint is set
+    with pytest.raises(ValueError, match="unknown config key structurer.kind"):
+        config_from_dict({"structurer": {"kind": "remote"}})
     # stage timings never enter the event log
     with pytest.raises(ValueError, match="unknown config key record_latency"):
         config_from_dict({"record_latency": True})
@@ -707,7 +712,7 @@ def test_config_validation_failures(tmp_path):
 
 def test_config_round_trips_through_dict_and_file(tmp_path):
     cfg = fixture_config(
-        structurer=StructurerSpec(kind="remote", endpoint="http://127.0.0.1:9/chat")
+        structurer=StructurerSpec(endpoint="http://127.0.0.1:9/chat")
     )
     rebuilt = config_from_dict(config_to_dict(cfg))
     assert rebuilt == cfg

@@ -275,7 +275,7 @@ def test_grid_includes_clamped_tail_blocks():
 
 def test_region_flow_processes_fewer_pixels_than_full_frame(standard_trace):
     pair = standard_trace.pairs()[3]
-    detector = AnnotationDetector.from_trace(standard_trace)
+    detector = AnnotationDetector(standard_trace.hand_boxes)
     boxes = detect_hands(pair.frame_a, detector)
     assert [b.side for b in boxes] == ["left", "right"]
     cfg = FlowConfig(search_radius=FIXTURE_RADIUS)

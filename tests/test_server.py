@@ -12,13 +12,18 @@ from stepassist.harness import cli
 from stepassist.harness.cli import main
 from stepassist.harness import pipeline as pipeline_module
 from stepassist.harness.config import PipelineConfig, ReasonerSpec
-from stepassist.harness.client import stream_session
+from stepassist.harness.client import record_message, stream_session
 from stepassist.harness.events import DELIVERY, ERROR, KEY_MOMENT, REASONED, SAMPLED_PAIR
-from stepassist.harness.pipeline import replay
+from stepassist.harness.pipeline import replay, sensor_records
 from stepassist.harness.report import REPORT_FILE
 from stepassist.harness.server import INTERNAL, PROTOCOL_VERSION, PipelineServer
 from stepassist.motion import HandDetectionError
-from stepassist.trace.io import load_session, write_session
+from stepassist.trace.io import (
+    annotations_to_obj,
+    load_session,
+    validate_session,
+    write_session,
+)
 from stepassist.trace.pgm import write_pgm
 from stepassist.trace.synthetic import (
     HandMove,
@@ -235,6 +240,30 @@ def test_pair_gap_outside_the_burst_interval_is_a_stream_fault(server, pair_gap)
         assert recv()["of"] == "session_start"
 
 
+def test_a_pair_off_the_session_gap_fails_replay_and_serve(server):
+    # pair 0's frames 0.7 s apart under a 0.1 s pair gap, which load_session refuses
+    trace = generate_synthetic(shelf_script())
+    late_b = dataclasses.replace(trace.frames[1], timestamp=trace.frames[0].timestamp + 0.7)
+    trace.frames = sorted(trace.frames[:1] + [late_b] + trace.frames[2:], key=lambda f: f.timestamp)
+    assert [v.kind for v in validate_session(trace).violations] == ["pair_gap"]
+
+    with pytest.raises(ValueError, match="pair gap"):
+        replay(trace, fixture_config())
+
+    with raw_client(server) as (send, recv):
+        send(start_message(width=trace.width, height=trace.height, pair_gap=trace.pair_gap,
+                           annotations=annotations_to_obj(trace)))
+        assert recv()["of"] == "session_start"
+        for record in sensor_records(trace):
+            send(record_message(record))
+            if record is late_b:
+                break
+        reply = recv()
+        while reply["type"] != "error":
+            reply = recv()
+        assert reply["code"] == "bad_stream" and "pair gap" in reply["detail"]
+
+
 def test_second_session_start_is_refused_while_open(server):
     with raw_client(server) as (send, recv):
         send(start_message())
@@ -404,6 +433,30 @@ def test_cli_send_streams_to_a_live_server(capsys, session_dir):
     assert code == 0
     out = capsys.readouterr().out
     assert "finished:" in out and "deliveries=1" in out
+
+
+def test_cli_serve_interrupted_while_announcing_closes_its_socket(monkeypatch):
+    # the interrupt lands before any serve loop has started
+    announced = []
+
+    def interrupted_print(*args, **kwargs):
+        line = " ".join(str(a) for a in args)
+        if line.startswith("listening on "):
+            announced.append(line.split()[-1])
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "print", interrupted_print, raising=False)
+    codes = []
+    runner = threading.Thread(
+        target=lambda: codes.append(main(["serve", "--port", "0"])), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive()
+    assert codes == [0]
+    host, port = announced[0].rsplit(":", 1)
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((host, int(port)), timeout=2).close()
 
 
 class CapturedServer:
