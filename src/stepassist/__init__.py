@@ -8,70 +8,5 @@ reasoner names the current step and phase, and a consistency checker decides
 what finally gets said. The harness replays recorded sessions, serves live
 ones over TCP, and scores both with the same metric suite.
 """
-from .checker import CheckerConfig, CheckerState, DeliveryDecision, SuppressReason, update
-from .harness import (
-    EventLog,
-    PipelineConfig,
-    PipelineServer,
-    SessionPipeline,
-    replay,
-    stream_session,
-    write_report,
-)
-from .metrics import MetricsReport, compute_metrics
-from .motion import FlowConfig, FlowSummary, estimate_flow
-from .perception import KeyMomentConfig, SamplerConfig, run_sampler, select_key_moment
-from .reasoner import (
-    ExecutionStatus,
-    OracleConfig,
-    OracleReasoner,
-    ReasonerInput,
-    ReasonerOutput,
-    RemoteReasoner,
-)
-from .trace import (
-    SessionTrace,
-    generate_synthetic,
-    load_session,
-    standard_script,
-    validate_session,
-    write_session,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckerConfig",
-    "CheckerState",
-    "DeliveryDecision",
-    "EventLog",
-    "ExecutionStatus",
-    "FlowConfig",
-    "FlowSummary",
-    "KeyMomentConfig",
-    "MetricsReport",
-    "OracleConfig",
-    "OracleReasoner",
-    "PipelineConfig",
-    "PipelineServer",
-    "ReasonerInput",
-    "ReasonerOutput",
-    "RemoteReasoner",
-    "SamplerConfig",
-    "SessionPipeline",
-    "SessionTrace",
-    "SuppressReason",
-    "compute_metrics",
-    "estimate_flow",
-    "generate_synthetic",
-    "load_session",
-    "replay",
-    "run_sampler",
-    "select_key_moment",
-    "standard_script",
-    "stream_session",
-    "update",
-    "validate_session",
-    "write_report",
-    "write_session",
-]

@@ -1,54 +1,1 @@
-from .client import StreamResult, stream_session
-from .config import (
-    DetectorSpec,
-    PipelineConfig,
-    ReasonerSpec,
-    StructurerSpec,
-    config_from_dict,
-    config_from_file,
-    config_to_dict,
-)
-from .events import (
-    DELIVERY,
-    ERROR,
-    EVENT_KINDS,
-    KEY_MOMENT,
-    REASONED,
-    SAMPLED_PAIR,
-    TRANSITION,
-    Event,
-    EventLog,
-)
-from .pipeline import SessionPipeline, replay, resolve_guideline, synthesize_guideline
-from .report import format_metrics, load_report, write_report
-from .server import PROTOCOL_VERSION, PipelineServer
-
-__all__ = [
-    "DELIVERY",
-    "ERROR",
-    "EVENT_KINDS",
-    "KEY_MOMENT",
-    "PROTOCOL_VERSION",
-    "REASONED",
-    "SAMPLED_PAIR",
-    "TRANSITION",
-    "DetectorSpec",
-    "Event",
-    "EventLog",
-    "PipelineConfig",
-    "PipelineServer",
-    "ReasonerSpec",
-    "SessionPipeline",
-    "StreamResult",
-    "StructurerSpec",
-    "config_from_dict",
-    "config_from_file",
-    "config_to_dict",
-    "format_metrics",
-    "load_report",
-    "replay",
-    "resolve_guideline",
-    "stream_session",
-    "synthesize_guideline",
-    "write_report",
-]
+"""The session engine and its harness: replay, live serving, reports, command line."""

@@ -12,7 +12,7 @@ from ..trace.io import annotations_to_obj
 from ..trace.pgm import write_pgm
 from ..trace.types import FrameRecord, ImuSample, SessionTrace
 from .pipeline import sensor_records
-from .server import PROTOCOL_VERSION
+from .server import BAD_STREAM, INTERNAL, PROTOCOL_VERSION
 
 
 @dataclass
@@ -65,8 +65,9 @@ def stream_session(
 
     Sends session_start, all sensor records in timestamp order, then
     session_end, while a reader thread drains acks, assists, and errors.
-    Returns once the session_end ack arrives; raises RuntimeError if the
-    server closes or goes silent first.
+    Returns once the session_end ack arrives. Raises RuntimeError, naming the
+    server's error code, if the server drops the session, closes or goes
+    silent first; sending stops as soon as the session is dropped.
     """
     result = StreamResult(session_id=session_id)
     done = threading.Event()
@@ -87,10 +88,11 @@ def stream_session(
                         result.assists.append(msg)
                     elif kind == "error":
                         result.errors.append(msg)
+                        if msg.get("code") in (BAD_STREAM, INTERNAL):
+                            break  # the server dropped the session
                     elif kind == "ack" and msg.get("of") == "session_end":
                         result.end_counts = msg.get("counts")
-                        done.set()
-                        return
+                        break
             except (OSError, ValueError):
                 pass  # connection torn down; fall through to EOF handling
             done.set()
@@ -117,8 +119,11 @@ def stream_session(
         try:
             send(start_msg)
             for record in sensor_records(trace, pace=pace):
+                if done.is_set():
+                    break
                 send(record_message(record))
-            send({"type": "session_end"})
+            else:
+                send({"type": "session_end"})
         except (BrokenPipeError, ConnectionResetError):
             pass  # server hung up; the reader captured whatever it said
 
@@ -129,8 +134,10 @@ def stream_session(
         sock.close()
 
     if result.end_counts is None:
-        detail = result.errors[-1]["detail"] if result.errors else "connection closed"
-        raise RuntimeError(f"session did not complete: {detail}")
+        why = "connection closed"
+        if result.errors:
+            why = "{code}: {detail}".format(**result.errors[-1])
+        raise RuntimeError(f"session did not complete: {why}")
     return result
 
 

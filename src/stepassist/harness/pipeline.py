@@ -10,7 +10,6 @@ identical event sequences by construction.
 """
 from __future__ import annotations
 
-import math
 import time
 from typing import Iterator, Sequence
 
@@ -52,12 +51,13 @@ from ..reasoner import (
     RemoteReasoner,
     flag_off_guideline,
 )
-from ..trace.io import PAIR_GAP_TOL
+from ..trace.io import StreamCheck
 from ..trace.types import (
     FramePair,
     FrameRecord,
     ImuSample,
     SessionTrace,
+    ValidationReport,
 )
 from .config import PipelineConfig
 from .events import (
@@ -162,9 +162,7 @@ class SessionPipeline:
                 f"the burst interval {cfg.sampler.burst_interval}"
             )
         self.cfg = cfg
-        self._pair_gap = session.pair_gap
         self._bind_tolerance = session.pair_gap / 2.0
-        self._frame_shape = (session.height, session.width)
 
         self.guideline_text, self.step_titles = resolve_guideline(
             cfg, session.instruction, session.step_labels()
@@ -186,67 +184,47 @@ class SessionPipeline:
         self.imu: list[ImuSample] = []
         self.pairs: list[FramePair] = []
         self.pair_count = 0
-        self._pending_a: dict[int, FrameRecord] = {}
-        self._last_frame_t: float | None = None
+        self._stream = StreamCheck(session, ValidationReport())
         self._finished = False
 
     # -- feeding ---------------------------------------------------------
 
     def feed_imu(self, sample: ImuSample) -> list[Event]:
-        self._check_open()
-        if not (math.isfinite(sample.timestamp) and math.isfinite(sample.gx)
-                and math.isfinite(sample.gy) and math.isfinite(sample.gz)):
-            raise ValueError(f"imu sample at t={sample.timestamp} has a non-finite field")
-        if self.imu and sample.timestamp < self.imu[-1].timestamp:
-            raise ValueError("imu samples must arrive in timestamp order")
+        self._check(self._stream.imu, sample)
         self.imu.append(sample)
         if sample.timestamp <= self.sampler_state.next_pair_time:
             return []  # nothing resolves before an imu sample passes the schedule
         return self._advance(finished=False)
 
     def feed_frame(self, frame: FrameRecord) -> list[Event]:
-        self._check_open()
-        if not math.isfinite(frame.timestamp):
-            raise ValueError(f"frame {frame.pair_id}{frame.slot} has non-finite timestamp")
-        if frame.image.shape != self._frame_shape:
-            raise ValueError(
-                f"frame geometry {frame.image.shape} does not match session {self._frame_shape}"
-            )
-        if self._last_frame_t is not None and frame.timestamp <= self._last_frame_t:
-            raise ValueError("frames must arrive in strictly increasing order")
-        self._last_frame_t = frame.timestamp
+        first = self._stream.waiting
+        self._check(self._stream.frame, frame)
         if frame.slot == "a":
-            self._pending_a[frame.pair_id] = frame
             return []
-        first = self._pending_a.pop(frame.pair_id, None)
-        if first is None:
-            raise ValueError(f"frame pair {frame.pair_id} got slot b before slot a")
-        gap = frame.timestamp - first.timestamp
-        if abs(gap - self._pair_gap) > PAIR_GAP_TOL:
-            raise ValueError(
-                f"frame pair {frame.pair_id} is {gap:.6f}s apart, not the session "
-                f"pair gap {self._pair_gap}s (+/- {PAIR_GAP_TOL}s)"
-            )
         self.pairs.append(FramePair(frame.pair_id, first.timestamp, first, frame))
         self.pair_count += 1
         return self._advance(finished=False)
 
     def finish(self) -> list[Event]:
-        self._check_open()
+        self._check(self._stream.end)
         events = self._advance(finished=True)
         self._finished = True
         return events
 
-    def _check_open(self) -> None:
+    def _check(self, rule, *record) -> None:
+        """Run one of validate_session's stream rules; a broken one raises ValueError."""
         if self._finished:
             raise RuntimeError("session already finished")
+        rule(*record)
+        if self._stream.report.violations:
+            raise ValueError(self._stream.report.violations[0].message)
 
     # -- resolution ------------------------------------------------------
 
     def _can_resolve(self, t: float, finished: bool) -> bool:
         if finished:
             # the last frame timestamp bounds the schedule, like batch replay
-            return self.pair_count > 0 and t <= self._last_frame_t
+            return self.pair_count > 0 and t <= self._stream.last_frame_t
         if not self.imu or self.imu[-1].timestamp <= t:
             # motion estimate not causal yet: another sample at t may follow
             return False

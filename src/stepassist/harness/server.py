@@ -69,7 +69,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             try:
                 keep_open = self._dispatch(owner, msg)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 # the stream is no longer trustworthy; drop the session
                 self._drop_session(BAD_STREAM, exc)
                 continue

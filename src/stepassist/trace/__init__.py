@@ -1,61 +1,1 @@
 """Recorded session model: types, disk format, validation, synthetic generation."""
-from .io import (
-    PAIR_GAP_TOL,
-    SessionFormatError,
-    frame_file_name,
-    load_session,
-    validate_session,
-    write_session,
-)
-from .pgm import read_pgm, write_pgm
-from .synthetic import (
-    HandMove,
-    HandTrack,
-    PhaseSpec,
-    ScriptError,
-    StepPlan,
-    SyntheticScript,
-    generate_synthetic,
-    standard_script,
-    steady_script,
-)
-from .types import (
-    ExecutionStatus,
-    FramePair,
-    FrameRecord,
-    ImuSample,
-    ProactiveInterval,
-    SessionTrace,
-    StepSegment,
-    ValidationReport,
-    Violation,
-)
-
-__all__ = [
-    "PAIR_GAP_TOL",
-    "ExecutionStatus",
-    "FramePair",
-    "FrameRecord",
-    "HandMove",
-    "HandTrack",
-    "ImuSample",
-    "PhaseSpec",
-    "ProactiveInterval",
-    "ScriptError",
-    "SessionFormatError",
-    "SessionTrace",
-    "StepPlan",
-    "StepSegment",
-    "SyntheticScript",
-    "ValidationReport",
-    "Violation",
-    "frame_file_name",
-    "generate_synthetic",
-    "load_session",
-    "read_pgm",
-    "standard_script",
-    "steady_script",
-    "validate_session",
-    "write_pgm",
-    "write_session",
-]

@@ -37,6 +37,70 @@ HAND_BOX_KEYS = {"side", "x", "y", "w", "h"}
 HAND_SIDES = ("left", "right", "unknown")
 
 
+class StreamCheck:
+    """The per-record rules of the two sensor streams, run one record at a time.
+
+    Each broken rule is added to ``report``. ``validate_session`` and the
+    engine both run one, so they refuse the same streams.
+    """
+
+    def __init__(self, session: SessionTrace, report: ValidationReport):
+        self.report = report
+        self.waiting: FrameRecord | None = None  # the slot a whose slot b is due next
+        self.last_frame_t: float | None = None
+        self._shape = (session.height, session.width)
+        self._pair_gap = session.pair_gap
+        self._pair_id: int | None = None
+        self._imu_t: float | None = None
+
+    def imu(self, s: ImuSample) -> None:
+        t, last = s.timestamp, self._imu_t
+        self._imu_t = t
+        if not (math.isfinite(t) and math.isfinite(s.gx)
+                and math.isfinite(s.gy) and math.isfinite(s.gz)):
+            self.report.add("imu_nonfinite", f"imu sample at t={t} has a non-finite field")
+        if t < 0:
+            self.report.add("negative_timestamp", f"imu sample at t={t} before session start")
+        if last is None and t > 0:
+            # the sampler's schedule starts at t = 0 and needs a sample at or before it
+            self.report.add("imu_start", f"first imu sample at t={t} is after t=0")
+        elif last is not None and t < last:
+            self.report.add("imu_order", f"imu sample at t={t} is out of timestamp order")
+
+    def frame(self, fr: FrameRecord) -> None:
+        add, t, last = self.report.add, fr.timestamp, self.last_frame_t
+        where = f"frame {fr.pair_id}{fr.slot} at t={t}"
+        self.last_frame_t = t
+        if fr.image.shape != self._shape:
+            add("frame_geometry", f"{where} has geometry {fr.image.shape}, not {self._shape}")
+        if not math.isfinite(t):
+            add("frame_nonfinite", f"{where} has a non-finite timestamp")
+        if t < 0:
+            add("negative_timestamp", f"{where} is before session start")
+        if last is not None and t <= last:
+            add("frame_order", f"{where} is not strictly increasing past t={last}")
+
+        # a pair is a slot a followed directly by its slot b, pair ids increasing
+        first, self.waiting = self.waiting, None
+        if first is not None and (fr.slot == "a" or fr.pair_id != first.pair_id):
+            add("incomplete_pair", f"pair {first.pair_id} has no slot b")
+        if fr.slot == "a":
+            if self._pair_id is not None and fr.pair_id <= self._pair_id:
+                add("duplicate_frame", f"{where} has a pair id not above {self._pair_id}")
+            self._pair_id, self.waiting = fr.pair_id, fr
+        elif first is None or first.pair_id != fr.pair_id:
+            add("incomplete_pair", f"{where} got slot b before slot a, or not right after it")
+        elif abs(t - first.timestamp - self._pair_gap) > PAIR_GAP_TOL:
+            gap = t - first.timestamp
+            add("pair_gap", f"{where} is {gap:.6f}s after its slot a, not the pair gap "
+                f"{self._pair_gap}s (+/- {PAIR_GAP_TOL}s)")
+
+    def end(self) -> None:
+        """No record follows, so a waiting slot a never gets its slot b."""
+        if self.waiting is not None:
+            self.report.add("incomplete_pair", f"pair {self.waiting.pair_id} has no slot b")
+
+
 class SessionFormatError(ValueError):
     """A session directory is missing pieces, malformed, or inconsistent."""
 
@@ -214,56 +278,12 @@ def validate_session(trace: SessionTrace) -> ValidationReport:
     if not trace.imu:
         rep.add("empty_stream", "session has no imu samples")
 
-    prev_t = None
-    for i, fr in enumerate(trace.frames):
-        if fr.image.shape != (trace.height, trace.width):
-            rep.add(
-                "frame_geometry",
-                f"frame {i} (pair {fr.pair_id}{fr.slot}) has shape "
-                f"{fr.image.shape[::-1]}, manifest says {trace.width}x{trace.height}",
-            )
-        if not math.isfinite(fr.timestamp):
-            rep.add("frame_nonfinite", f"frame {i} has non-finite timestamp {fr.timestamp}")
-        if fr.timestamp < 0:
-            rep.add("negative_timestamp", f"frame {i} at t={fr.timestamp} before session start")
-        if prev_t is not None and fr.timestamp <= prev_t:
-            rep.add(
-                "frame_order",
-                f"frame {i} timestamp {fr.timestamp} does not increase past {prev_t}",
-            )
-        prev_t = fr.timestamp
-
-    by_pair: dict[int, dict[str, FrameRecord]] = {}
+    check = StreamCheck(trace, rep)
+    for s in trace.imu:
+        check.imu(s)
     for fr in trace.frames:
-        slots = by_pair.setdefault(fr.pair_id, {})
-        if fr.slot in slots:
-            rep.add("duplicate_frame", f"pair {fr.pair_id} has two '{fr.slot}' frames")
-        slots[fr.slot] = fr
-    for pid in sorted(by_pair):
-        slots = by_pair[pid]
-        if set(slots) != {"a", "b"}:
-            rep.add("incomplete_pair", f"pair {pid} has slots {sorted(slots)}, expected a and b")
-            continue
-        gap = slots["b"].timestamp - slots["a"].timestamp
-        if abs(gap - trace.pair_gap) > PAIR_GAP_TOL:
-            rep.add(
-                "pair_gap",
-                f"pair {pid} frames are {gap:.6f}s apart, expected {trace.pair_gap}s "
-                f"(+/- {PAIR_GAP_TOL}s)",
-            )
-
-    prev_t = None
-    for i, s in enumerate(trace.imu):
-        if not all(math.isfinite(v) for v in (s.timestamp, s.gx, s.gy, s.gz)):
-            rep.add("imu_nonfinite", f"imu sample {i} has a non-finite field")
-        if s.timestamp < 0:
-            rep.add("negative_timestamp", f"imu sample {i} at t={s.timestamp} before start")
-        if prev_t is not None and s.timestamp < prev_t:
-            rep.add("imu_order", f"imu sample {i} timestamp {s.timestamp} decreases past {prev_t}")
-        prev_t = s.timestamp
-    if trace.imu and trace.imu[0].timestamp > 0:
-        # the sampler's schedule starts at t = 0 and needs a sample at or before it
-        rep.add("imu_start", f"first imu sample at t={trace.imu[0].timestamp} is after t=0")
+        check.frame(fr)
+    check.end()
 
     ordered = sorted(range(len(trace.segments)), key=lambda i: trace.segments[i].start)
     for a, b in zip(ordered, ordered[1:]):
@@ -305,8 +325,9 @@ def validate_session(trace: SessionTrace) -> ValidationReport:
                 f"the segments of step {iv.step!r}",
             )
 
+    pair_ids = {fr.pair_id for fr in trace.frames}
     for pid, boxes in trace.hand_boxes.items():
-        if pid not in by_pair:
+        if pid not in pair_ids:
             rep.add("hand_box_pair", f"hand boxes recorded for unknown pair {pid}")
         for j, box in enumerate(boxes):
             if not HAND_BOX_KEYS.issubset(box):

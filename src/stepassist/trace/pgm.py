@@ -61,7 +61,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     values = data[pos:].split()
     if len(values) != w * h:
         raise ValueError("PGM raster shorter than header promises")
-    arr = np.array([int(v) for v in values], dtype=np.int64)
-    if arr.min() < 0 or arr.max() > 255:
+    samples = [int(v) for v in values]
+    if min(samples) < 0 or max(samples) > 255:
         raise ValueError("PGM sample out of range")
-    return arr.astype(np.uint8).reshape(h, w)
+    return np.array(samples, dtype=np.uint8).reshape(h, w)

@@ -6,6 +6,7 @@ intervals) under a single natural-language task instruction.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -170,16 +171,13 @@ class SessionTrace:
         return step_vocabulary(self.segments)
 
     def iter_sensor_records(self) -> Iterator[ImuSample | FrameRecord]:
-        """All sensor records merged in timestamp order (imu before frames on ties)."""
-        # ties resolved in favor of imu so motion state is current when a frame lands
-        records: list[tuple[float, int, ImuSample | FrameRecord]] = []
-        for s in self.imu:
-            records.append((s.timestamp, 0, s))
-        for f in self.frames:
-            records.append((f.timestamp, 1, f))
-        records.sort(key=lambda r: (r[0], r[1]))
-        for _, _, rec in records:
-            yield rec
+        """Both sensor streams merged by timestamp, each in its recorded order.
+
+        Ties go to the imu so motion state is current when a frame lands. A
+        record out of order in its own stream stays out of order, as it
+        would arrive live, so the engine sees what validate_session sees.
+        """
+        return heapq.merge(self.imu, self.frames, key=lambda r: r.timestamp)
 
 
 @dataclass(frozen=True)

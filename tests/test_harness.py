@@ -1,11 +1,17 @@
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stepassist
 from stepassist.checker import CheckerState, update
 from stepassist.harness.config import (
     PipelineConfig,
@@ -48,6 +54,7 @@ from stepassist.reasoner import (
     OracleReasoner,
     ReasonerOutput,
 )
+from stepassist.trace.io import validate_session
 from stepassist.trace.synthetic import (
     HandMove,
     HandTrack,
@@ -161,6 +168,7 @@ def bare_engine() -> SessionPipeline:
 
 def test_feeding_rejects_out_of_order_records(shelf_trace):
     engine = bare_engine()
+    engine.feed_imu(ImuSample(0.0, 0.1, 0.0, 0.0))
     engine.feed_imu(ImuSample(1.0, 0.1, 0.0, 0.0))
     with pytest.raises(ValueError, match="timestamp order"):
         engine.feed_imu(ImuSample(0.5, 0.1, 0.0, 0.0))
@@ -228,6 +236,126 @@ def test_dropped_pair_surfaces_as_sampling_miss():
     # the schedule keeps walking afterwards
     later = [ev for ev in log.of_kind(SAMPLED_PAIR) if ev.data["scheduled_t"] > 4.0]
     assert [ev.data["scheduled_t"] for ev in later] == [5.0, 6.0, 7.0, 8.0]
+
+
+# -- the stream rules ----------------------------------------------------------
+
+
+def blank(t: float, pair_id: int, slot: str) -> FrameRecord:
+    return FrameRecord(t, pair_id, slot, np.zeros((16, 16), dtype=np.uint8))
+
+
+def small_session(frames, imu, end=1.6) -> SessionTrace:
+    return SessionTrace(
+        instruction="demo",
+        width=16,
+        height=16,
+        pair_gap=0.1,
+        frames=frames,
+        imu=imu,
+        segments=[StepSegment(0.0, end, "A", IP)],
+        proactive_intervals=[],
+    )
+
+
+def interleaved_trace() -> SessionTrace:
+    """Pairs 0 and 1 interleaved, each on the pair gap, then pairs at 1, 2 and 3 s."""
+    frames = [blank(0.0, 0, "a"), blank(0.0005, 1, "a"), blank(0.1001, 1, "b"),
+              blank(0.1009, 0, "b")]
+    for pair_id, t in ((2, 1.0), (3, 2.0), (4, 3.0)):
+        frames += [blank(t, pair_id, "a"), blank(t + 0.1, pair_id, "b")]
+    return small_session(frames, [ImuSample(k * 0.25, 0.1, 0, 0) for k in range(14)], end=3.1)
+
+
+def test_interleaved_pairs_are_refused_by_validation_and_replay():
+    trace = interleaved_trace()
+    assert {v.kind for v in validate_session(trace).violations} == {"incomplete_pair"}
+    with pytest.raises(ValueError, match="pair 0 has no slot b"):
+        replay(trace, fixture_config())
+
+
+@pytest.mark.parametrize(
+    "frames, imu, kind",
+    [
+        ([], [ImuSample(-0.25, 0.1, 0, 0)], "negative_timestamp"),
+        ([blank(-0.1, 0, "a"), blank(0.0, 0, "b")], [], "negative_timestamp"),
+        ([blank(0.0, 0, "a"), blank(0.1, 0, "b"), blank(0.5, 0, "a"), blank(0.6, 0, "b")], [],
+         "duplicate_frame"),
+        ([blank(0.0, 0, "a"), blank(0.1, 0, "b"), blank(0.5, 1, "a")], [], "incomplete_pair"),
+    ],
+    ids=["negative-imu-time", "negative-frame-time", "repeated-pair-id", "slot-a-at-finish"],
+)
+def test_engine_refuses_what_validation_refuses(frames, imu, kind):
+    report = validate_session(small_session(frames, imu))
+    assert kind in {v.kind for v in report.violations}
+    engine = SessionPipeline(fixture_config(), small_session([], []))
+    with pytest.raises(ValueError) as err:
+        feed(engine, imu + frames)
+    assert str(err.value) == next(v.message for v in report.violations if v.kind == kind)
+
+
+def test_a_second_slot_a_is_refused_at_once():
+    engine = SessionPipeline(fixture_config(), small_session([], []))
+    fed = 0
+    with pytest.raises(ValueError, match="pair 0 has no slot b"):
+        for pair_id in range(1000):
+            engine.feed_frame(blank(pair_id * 0.5, pair_id, "a"))
+            fed += 1
+    assert fed == 1
+
+
+STREAM_KINDS = {
+    "imu_nonfinite", "negative_timestamp", "imu_start", "imu_order", "frame_geometry",
+    "frame_nonfinite", "frame_order", "pair_gap", "duplicate_frame", "incomplete_pair",
+}
+
+
+@st.composite
+def mutated_sessions(draw):
+    """A small valid session with one stream record dropped, copied, moved or altered."""
+    frames = [
+        blank(t + d, pair_id, slot)
+        for pair_id, t in enumerate((0.0, 0.5, 1.0, 1.5))
+        for slot, d in (("a", 0.0), ("b", 0.1))
+    ]
+    imu = [ImuSample(k * 0.25, 0.1, 0, 0) for k in range(8)]
+    i = draw(st.integers(0, len(frames) - 1))
+    fr = frames[i]
+    times = st.sampled_from([-0.1, math.nan, fr.timestamp + 0.0005, fr.timestamp + 0.05,
+                             fr.timestamp - 0.1, fr.timestamp + 0.4, fr.timestamp + 0.5])
+    mutation = draw(st.sampled_from(
+        ["drop", "copy", "swap", "retime", "pair", "imu_time", "imu_shift"]
+    ))
+    if mutation == "drop":
+        del frames[i]
+    elif mutation == "copy":
+        frames.insert(i, fr)
+    elif mutation == "swap":
+        j = draw(st.integers(0, len(frames) - 1))
+        frames[i], frames[j] = frames[j], frames[i]
+    elif mutation == "retime":
+        frames[i] = dataclasses.replace(fr, timestamp=draw(times))
+    elif mutation == "pair":
+        frames[i] = dataclasses.replace(fr, pair_id=draw(st.integers(-1, 5)))
+    elif mutation == "imu_time":
+        k = draw(st.integers(0, len(imu) - 1))
+        imu[k] = dataclasses.replace(imu[k], timestamp=draw(st.sampled_from([-0.1, math.nan])))
+    else:
+        shift = draw(st.sampled_from([-0.1, 0.05, 0.3]))
+        imu = [dataclasses.replace(s, timestamp=s.timestamp + shift) for s in imu]
+    return small_session(frames, imu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_sessions())
+def test_replay_refuses_exactly_the_streams_validation_refuses(trace):
+    refused = {v.kind for v in validate_session(trace).violations} & STREAM_KINDS
+    try:
+        replay(trace, fixture_config())
+    except ValueError:
+        assert refused
+    else:
+        assert not refused
 
 
 # -- the causal window ---------------------------------------------------------
@@ -734,3 +862,32 @@ def test_config_round_trips_through_dict_and_file(tmp_path):
     assert loaded.reasoner.oracle.seed == 7
     assert loaded.detector.kind == "synthetic"
     assert dataclasses.asdict(loaded)["flow"] == dataclasses.asdict(PipelineConfig())["flow"]
+
+
+# -- packaging -----------------------------------------------------------------
+
+IMPORT_EACH_FIRST = """
+import importlib, pkgutil, sys
+import stepassist
+names = [m.name for m in pkgutil.walk_packages(stepassist.__path__, "stepassist.")]
+for name in names:
+    for loaded in [n for n in sys.modules if n.split(".")[0] == "stepassist"]:
+        del sys.modules[loaded]
+    importlib.import_module(name)
+    print(name)
+"""
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    # the package __init__ files import nothing, so an import cycle between
+    # two modules fails as soon as the one that closes it is imported first
+    src = str(Path(stepassist.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_EACH_FIRST],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert {"stepassist.motion", "stepassist.harness.cli", "stepassist.trace.io"} <= set(
+        run.stdout.split()
+    )

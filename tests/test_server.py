@@ -3,6 +3,7 @@ import dataclasses
 import json
 import socket
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -36,13 +37,16 @@ from stepassist.trace.synthetic import (
 from stepassist.trace.types import ExecutionStatus
 
 from conftest import dead_endpoint, fixture_config, hanging_endpoint
-from test_harness import shelf_script
+from test_harness import interleaved_trace, shelf_script
 
 SEGMENT_ANN = {
     "segments": [{"start": 0.0, "end": 1.0, "step": "A", "status": "in_progress"}],
     "proactive_intervals": [],
     "hand_boxes": {},
 }
+
+
+PGM_8X8 = base64.b64encode(write_pgm(np.zeros((8, 8), dtype=np.uint8))).decode()
 
 
 def start_message(**overrides):
@@ -240,11 +244,17 @@ def test_pair_gap_outside_the_burst_interval_is_a_stream_fault(server, pair_gap)
         assert recv()["of"] == "session_start"
 
 
-def test_a_pair_off_the_session_gap_fails_replay_and_serve(server):
-    # pair 0's frames 0.7 s apart under a 0.1 s pair gap, which load_session refuses
+def off_gap_trace():
+    """The shelf session with pair 0's frames 0.3 s apart under a 0.1 s pair gap."""
     trace = generate_synthetic(shelf_script())
-    late_b = dataclasses.replace(trace.frames[1], timestamp=trace.frames[0].timestamp + 0.7)
+    late_b = dataclasses.replace(trace.frames[1], timestamp=trace.frames[0].timestamp + 0.3)
     trace.frames = sorted(trace.frames[:1] + [late_b] + trace.frames[2:], key=lambda f: f.timestamp)
+    return trace, late_b
+
+
+def test_a_pair_off_the_session_gap_fails_replay_and_serve(server):
+    # load_session refuses such a pair
+    trace, late_b = off_gap_trace()
     assert [v.kind for v in validate_session(trace).violations] == ["pair_gap"]
 
     with pytest.raises(ValueError, match="pair gap"):
@@ -264,6 +274,19 @@ def test_a_pair_off_the_session_gap_fails_replay_and_serve(server):
         assert reply["code"] == "bad_stream" and "pair gap" in reply["detail"]
 
 
+def test_a_dropped_session_ends_the_client_stream_at_once(server):
+    trace, _ = off_gap_trace()
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="bad_stream: .*pair gap"):
+        stream_session(trace, *server.address, timeout=10)
+    assert time.monotonic() - started < 5
+
+
+def test_interleaved_pairs_are_a_stream_fault(server):
+    with pytest.raises(RuntimeError, match="bad_stream: .*pair 0 has no slot b"):
+        stream_session(interleaved_trace(), *server.address, timeout=10)
+
+
 def test_second_session_start_is_refused_while_open(server):
     with raw_client(server) as (send, recv):
         send(start_message())
@@ -276,6 +299,7 @@ def test_corrupt_stream_drops_the_session(server):
     with raw_client(server) as (send, recv):
         send(start_message())
         assert recv()["of"] == "session_start"
+        send({"type": "imu", "t": 0.0, "gx": 0.0, "gy": 0.0, "gz": 0.0})
         send({"type": "imu", "t": 1.0, "gx": 0.0, "gy": 0.0, "gz": 0.0})
         send({"type": "imu", "t": 0.5, "gx": 0.0, "gy": 0.0, "gz": 0.0})
         err = recv()
@@ -298,6 +322,26 @@ def test_non_finite_records_are_stream_faults(server):
             send(record)
             err = recv()
             assert err["code"] == "bad_stream" and "non-finite" in err["detail"]
+        send(start_message())  # the connection is still usable
+        assert recv()["of"] == "session_start"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"type": "imu", "t": 10**400, "gx": 0.0, "gy": 0.0, "gz": 0.0},
+        {"type": "frame", "t": 0.0, "pair": 1e400, "slot": "a", "data": PGM_8X8},
+        {"type": "frame", "t": 0.0, "pair": 0, "slot": "a",
+         "data": base64.b64encode(b"P2 2 1 255 1 99999999999999999999").decode()},
+    ],
+    ids=["imu-time", "pair-id", "p2-sample"],
+)
+def test_numbers_that_overflow_are_stream_faults(server, record):
+    with raw_client(server) as (send, recv):
+        send(start_message())
+        assert recv()["of"] == "session_start"
+        send(record)
+        assert recv()["code"] == "bad_stream"
         send(start_message())  # the connection is still usable
         assert recv()["of"] == "session_start"
 

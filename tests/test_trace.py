@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stepassist.trace.io import (
     SessionFormatError,
@@ -84,6 +86,33 @@ def test_pgm_rejects_wrong_maxval():
         read_pgm(b"P5\n2 2\n65535\n" + bytes(8))
 
 
+@st.composite
+def damaged_pgm(draw):
+    """A valid P5 or P2 image with a few bytes overwritten, inserted or deleted."""
+    image = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    data = bytearray(draw(st.sampled_from(
+        [write_pgm(image), b"P2\n# c\n4 3\n255\n" + b" ".join(b"%d" % v for v in image.flat)]
+    )))
+    noise = st.binary(min_size=1, max_size=3)
+    # digits, separators and comment marks reach the header parser more often than noise
+    tokens = st.text("0123456789 #\n-", min_size=1, max_size=24).map(str.encode)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        data[i:i + draw(st.integers(0, 2))] = draw(st.one_of(noise, tokens))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@example(b"P2 2 1 255 1 99999999999999999999")
+@given(st.one_of(st.binary(max_size=64), damaged_pgm()))
+def test_read_pgm_returns_an_image_or_raises_value_error(data):
+    try:
+        image = read_pgm(data)
+    except ValueError:
+        return
+    assert image.ndim == 2 and image.dtype == np.uint8
+
+
 # -- session round trip ----------------------------------------------------
 
 
@@ -132,16 +161,55 @@ def test_frame_file_name_padding():
     assert frame_file_name(123456, "b") == "123456_b.pgm"
 
 
-def test_load_names_file_and_line_for_bad_imu(tmp_path):
-    trace = generate_synthetic(small_script())
-    root = write_session(trace, tmp_path / "sess")
-    csv_path = root / "imu.csv"
-    lines = csv_path.read_text().splitlines()
-    lines[2] = "0.5,not_a_number,0.0,0.0"
-    csv_path.write_text("\n".join(lines) + "\n")
+def damage(root, case):
+    """Break one piece of a written session directory; returns the path to load."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    imu_rows = (root / "imu.csv").read_text().splitlines()
+    if case == "no-directory":
+        return root / "absent"
+    if case == "manifest-json":
+        (root / "manifest.json").write_text('{\n  "instruction": ')
+    elif case == "manifest-key":
+        del manifest["pair_gap"]
+    elif case == "frame-entry-key":
+        del manifest["frames"][1]["slot"]
+    elif case == "frame-not-pgm":
+        (root / "frames" / frame_file_name(0, "b")).write_bytes(b"GIF89a")
+    elif case == "imu-header":
+        imu_rows[0] = "t,gx,gy,gz"
+    elif case == "imu-row-fields":
+        imu_rows[2] = "0.5,0.0,0.0"
+    elif case == "non-numeric-field":
+        imu_rows[2] = "0.5,not_a_number,0.0,0.0"
+    elif case == "annotations-not-object":
+        (root / "annotations.json").write_text("[]")
+    if case in ("manifest-key", "frame-entry-key"):
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    if case.startswith(("imu", "non-numeric")):
+        (root / "imu.csv").write_text("\n".join(imu_rows) + "\n")
+    return root
+
+
+# what each damage does to load_session's message: the file, and the line where one applies
+LOAD_REFUSALS = {
+    "no-directory": "absent: missing session directory",
+    "manifest-json": "manifest.json:2: invalid JSON",
+    "manifest-key": "manifest.json: missing key 'pair_gap'",
+    "frame-entry-key": "manifest.json: frame entry 1 missing key 'slot'",
+    "frame-not-pgm": "000000_b.pgm: not a PGM image",
+    "imu-header": "imu.csv:1: bad header",
+    "imu-row-fields": "imu.csv:3: expected 4 fields, got 3",
+    "non-numeric-field": "imu.csv:3: non-numeric field",
+    "annotations-not-object": "annotations.json: annotations must be a JSON object",
+}
+
+
+@pytest.mark.parametrize("case", LOAD_REFUSALS)
+def test_load_names_the_file_it_refuses(tmp_path, case):
+    root = write_session(generate_synthetic(small_script()), tmp_path / "sess")
     with pytest.raises(SessionFormatError) as err:
-        load_session(root)
-    assert "imu.csv:3" in str(err.value)
+        load_session(damage(root, case))
+    assert LOAD_REFUSALS[case] in str(err.value)
 
 
 def test_load_rejects_missing_frame_file(tmp_path):
