@@ -8,7 +8,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..trace.io import annotations_to_obj
+from ..trace.io import annotations_to_obj, header_to_obj
 from ..trace.pgm import write_pgm
 from ..trace.types import FrameRecord, ImuSample, SessionTrace
 from .pipeline import sensor_records
@@ -23,13 +23,7 @@ class StreamResult:
     assists: list[dict[str, Any]] = field(default_factory=list)
     errors: list[dict[str, Any]] = field(default_factory=list)
     end_counts: dict[str, int] | None = None
-    replies: list[dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def pair_acks(self) -> int:
-        return sum(
-            1 for r in self.replies if r.get("type") == "ack" and r.get("of") == "pair"
-        )
+    pair_acks: int = 0
 
 
 def record_message(record: ImuSample | FrameRecord) -> dict[str, Any]:
@@ -82,7 +76,6 @@ def stream_session(
             try:
                 for raw in rfile:
                     msg = json.loads(raw.decode("utf-8"))
-                    result.replies.append(msg)
                     kind = msg.get("type")
                     if kind == "assist":
                         result.assists.append(msg)
@@ -90,6 +83,8 @@ def stream_session(
                         result.errors.append(msg)
                         if msg.get("code") in (BAD_STREAM, INTERNAL):
                             break  # the server dropped the session
+                    elif kind == "ack" and msg.get("of") == "pair":
+                        result.pair_acks += 1
                     elif kind == "ack" and msg.get("of") == "session_end":
                         result.end_counts = msg.get("counts")
                         break
@@ -108,10 +103,7 @@ def stream_session(
             "type": "session_start",
             "protocol": PROTOCOL_VERSION,
             "session_id": session_id,
-            "instruction": trace.instruction,
-            "width": trace.width,
-            "height": trace.height,
-            "pair_gap": trace.pair_gap,
+            **header_to_obj(trace),
         }
         if include_annotations:
             start_msg["annotations"] = annotations_to_obj(trace)

@@ -7,7 +7,6 @@ not silently run with a default.
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,11 +99,3 @@ def _build(cls: type, obj: Any, path: str) -> Any:
 def config_from_dict(obj: dict[str, Any]) -> PipelineConfig:
     return _build(PipelineConfig, obj, "").validate()
 
-
-def config_from_file(path: str | Path) -> PipelineConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict[str, Any]:
-    return dataclasses.asdict(cfg)

@@ -140,7 +140,8 @@ class SessionPipeline:
     log accumulates on ``self.log``.
 
     ``session`` sets the instruction, the frame size, the pair gap and the
-    annotations; its ``frames`` and ``imu`` are never read.
+    annotations; its ``frames`` and ``imu`` are never read, and one that
+    breaks a StreamCheck rule raises ValueError here.
 
     ``imu`` and ``pairs`` hold a causal window, not the session: as each
     scheduled time resolves, ``drop_unreachable`` cuts what no later time can
@@ -156,9 +157,12 @@ class SessionPipeline:
         reasoner: Reasoner | None = None,
     ):
         cfg.validate()
-        if not 0 < session.pair_gap < cfg.sampler.burst_interval:
+        self._stream = StreamCheck(session, ValidationReport())
+        if self._stream.report.violations:
+            raise ValueError(self._stream.report.violations[0].message)
+        if not session.pair_gap < cfg.sampler.burst_interval:
             raise ValueError(
-                f"session pair gap {session.pair_gap} must be positive and below "
+                f"session pair gap {session.pair_gap} must be below "
                 f"the burst interval {cfg.sampler.burst_interval}"
             )
         self.cfg = cfg
@@ -184,7 +188,6 @@ class SessionPipeline:
         self.imu: list[ImuSample] = []
         self.pairs: list[FramePair] = []
         self.pair_count = 0
-        self._stream = StreamCheck(session, ValidationReport())
         self._finished = False
 
     # -- feeding ---------------------------------------------------------

@@ -18,7 +18,10 @@ delivered response:
 
 Protocol faults come back as {"type": "error", "code": ..., "detail": ...};
 any other fault in the engine drops the session with code ``internal``.
-Only a protocol version mismatch closes the connection. Each connection is
+session_start goes through load_session's header and annotation codecs and
+rules, so what load_session refuses there is answered with ``bad_stream``.
+Only a protocol version mismatch closes the connection; a client that
+resets or closes its connection just ends its handler. Each connection is
 its own pipeline, so concurrent clients never share state.
 """
 from __future__ import annotations
@@ -29,7 +32,7 @@ import socketserver
 import threading
 from typing import Any
 
-from ..trace.io import annotations_from_obj
+from ..trace.io import annotations_from_obj, header_from_obj
 from ..trace.pgm import read_pgm
 from ..trace.types import FrameRecord, ImuSample, SessionTrace
 from .config import PipelineConfig
@@ -52,6 +55,12 @@ class _Handler(socketserver.StreamRequestHandler):
     """One connection: at most one open session at a time, serially."""
 
     def handle(self) -> None:
+        try:
+            self._serve()
+        except ConnectionError:
+            pass  # the client reset or closed its connection; no one is left to answer
+
+    def _serve(self) -> None:
         owner: PipelineServer = self.server.owner  # type: ignore[attr-defined]
         self.engine: SessionPipeline | None = None
         self.session_id: str | None = None
@@ -73,6 +82,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 # the stream is no longer trustworthy; drop the session
                 self._drop_session(BAD_STREAM, exc)
                 continue
+            except ConnectionError:
+                raise  # from the handler's own writes; endpoint faults are ChatEndpointError
             except Exception as exc:
                 # a fault inside the engine must not take the connection with
                 # it; socketserver's handle_error prints the traceback
@@ -117,17 +128,11 @@ class _Handler(socketserver.StreamRequestHandler):
         if self.engine is not None:
             self._send_error(SESSION_ACTIVE, "finish the open session first")
             return True
-        segments, intervals, hand_boxes = annotations_from_obj(msg.get("annotations") or {})
         session = SessionTrace(
-            instruction=str(msg["instruction"]),
-            width=int(msg["width"]),
-            height=int(msg["height"]),
-            pair_gap=float(msg["pair_gap"]),
+            **header_from_obj(msg),
+            **annotations_from_obj(msg.get("annotations") or {}),
             frames=[],
             imu=[],
-            segments=segments,
-            proactive_intervals=intervals,
-            hand_boxes=hand_boxes,
         )
         self.engine = SessionPipeline(owner.cfg, session)
         self.session_id = str(msg.get("session_id", ""))

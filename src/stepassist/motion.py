@@ -71,7 +71,6 @@ class FlowSummary:
     dx: float
     dy: float
     magnitude: float
-    pixels_processed: int
     blocks_total: int
     blocks_used: int
 
@@ -290,7 +289,6 @@ def estimate_flow(
         dx=mean_dx,
         dy=mean_dy,
         magnitude=math.hypot(mean_dx, mean_dy),
-        pixels_processed=w * h,
         blocks_total=plan.origins.size,
         blocks_used=used,
     )
@@ -333,24 +331,16 @@ class NullDetector:
 
 
 class AnnotationDetector:
-    """Plays back hand boxes recorded in the trace annotations."""
+    """Plays back hand boxes recorded in the trace annotations, built per detected pair."""
 
     def __init__(self, boxes_by_pair: Mapping[int, Sequence[Mapping[str, object]]]):
-        self._boxes: dict[int, list[HandBox]] = {}
-        for pid, boxes in boxes_by_pair.items():
-            self._boxes[int(pid)] = [
-                HandBox(
-                    side=str(b["side"]),
-                    x=int(b["x"]),
-                    y=int(b["y"]),
-                    w=int(b["w"]),
-                    h=int(b["h"]),
-                )
-                for b in boxes
-            ]
+        self._boxes = boxes_by_pair
 
     def detect(self, frame: FrameRecord) -> list[HandBox]:
-        return list(self._boxes.get(frame.pair_id, []))
+        return [
+            HandBox(b["side"], b["x"], b["y"], b["w"], b["h"])
+            for b in self._boxes.get(frame.pair_id, ())
+        ]
 
 
 class SyntheticDetector:

@@ -9,7 +9,8 @@ On disk a session is a directory::
 
 Timestamps are float seconds from session start. ``load_session`` refuses a
 directory that fails validation; ``validate_session`` reports every violation
-it can find instead of stopping at the first.
+it can find instead of stopping at the first. The header and annotation
+codecs serve the wire's ``session_start`` too.
 """
 from __future__ import annotations
 
@@ -33,15 +34,17 @@ from .types import (
 # tolerance on the recorded intra-pair gap
 PAIR_GAP_TOL = 1e-3
 
-HAND_BOX_KEYS = {"side", "x", "y", "w", "h"}
+HAND_BOX_FIELDS = {"side": str, "x": int, "y": int, "w": int, "h": int}
 HAND_SIDES = ("left", "right", "unknown")
 
 
 class StreamCheck:
-    """The per-record rules of the two sensor streams, run one record at a time.
+    """The session rules a live session can check as it goes.
 
-    Each broken rule is added to ``report``. ``validate_session`` and the
-    engine both run one, so they refuse the same streams.
+    The constructor checks the header and annotations; ``imu``, ``frame`` and
+    ``end`` check the sensor streams one record at a time. Each broken rule
+    is added to ``report``. ``validate_session`` and the engine both run one,
+    so they refuse the same sessions.
     """
 
     def __init__(self, session: SessionTrace, report: ValidationReport):
@@ -52,6 +55,56 @@ class StreamCheck:
         self._pair_gap = session.pair_gap
         self._pair_id: int | None = None
         self._imu_t: float | None = None
+
+        add = report.add
+        if not session.instruction.strip():
+            add("empty_instruction", "session instruction is empty")
+        if session.width <= 0 or session.height <= 0:
+            add("bad_geometry", f"frame geometry {session.width}x{session.height} is not positive")
+        if not (math.isfinite(session.pair_gap) and session.pair_gap > 0):
+            add("bad_pair_gap", f"pair gap {session.pair_gap} is not positive")
+
+        segments = session.segments
+        ordered = sorted(range(len(segments)), key=lambda i: segments[i].start)
+        for a, b in zip(ordered, ordered[1:]):
+            if segments[a].end > segments[b].start:
+                add(
+                    "segment_overlap",
+                    f"segments {a} and {b} overlap: "
+                    f"[{segments[a].start}, {segments[a].end}) and "
+                    f"[{segments[b].start}, {segments[b].end})",
+                )
+        if [segments[i] for i in ordered] != segments:
+            add("segment_order", "segments are not sorted by start time")
+
+        steps = {seg.step for seg in segments}
+        for i, iv in enumerate(session.proactive_intervals):
+            if iv.step not in steps:
+                add(
+                    "interval_step",
+                    f"proactive interval {i} names step {iv.step!r} absent from segments",
+                )
+            elif not _covered(iv, [s for s in segments if s.step == iv.step]):
+                add(
+                    "interval_coverage",
+                    f"proactive interval {i} [{iv.start}, {iv.end}] is not inside "
+                    f"the segments of step {iv.step!r}",
+                )
+
+        for pid, boxes in session.hand_boxes.items():
+            for j, box in enumerate(boxes):
+                if not all(key in box for key in HAND_BOX_FIELDS):
+                    add("hand_box_keys", f"hand box {j} of pair {pid} missing keys")
+                    continue
+                if box["side"] not in HAND_SIDES:
+                    add("hand_box_side", f"hand box {j} of pair {pid} has side {box['side']!r}")
+                x, y, w, h = box["x"], box["y"], box["w"], box["h"]
+                if (w <= 0 or h <= 0 or x < 0 or y < 0
+                        or x + w > session.width or y + h > session.height):
+                    add(
+                        "hand_box_bounds",
+                        f"hand box {j} of pair {pid} ({x},{y},{w},{h}) leaves the frame",
+                    )
 
     def imu(self, s: ImuSample) -> None:
         t, last = s.timestamp, self._imu_t
@@ -119,6 +172,39 @@ def _load_json(path: Path) -> Any:
         _fail(path, f"invalid JSON ({exc.msg})", line=exc.lineno)
 
 
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+HEADER_FIELDS = {"instruction": _text, "width": int, "height": int, "pair_gap": float}
+
+
+def header_to_obj(trace: SessionTrace) -> dict[str, Any]:
+    """JSON form of a session's header, as in manifest.json and session_start."""
+    return {key: getattr(trace, key) for key in HEADER_FIELDS}
+
+
+def header_from_obj(obj: Any) -> dict[str, Any]:
+    """Inverse of header_to_obj, as SessionTrace keyword arguments.
+
+    Raises SessionFormatError naming the missing or malformed field, e.g.
+    ``width: ...``. Other keys of ``obj`` are ignored.
+    """
+    if not isinstance(obj, dict):
+        raise SessionFormatError("header must be a JSON object")
+    header: dict[str, Any] = {}
+    for key, convert in HEADER_FIELDS.items():
+        if key not in obj:
+            raise SessionFormatError(f"missing key {key!r}")
+        try:
+            header[key] = convert(obj[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SessionFormatError(f"{key}: {exc}") from None
+    return header
+
+
 def annotations_to_obj(trace: SessionTrace) -> dict[str, Any]:
     """JSON form of a session's annotations, as in annotations.json and session_start."""
     return {
@@ -134,11 +220,11 @@ def annotations_to_obj(trace: SessionTrace) -> dict[str, Any]:
     }
 
 
-def annotations_from_obj(
-    obj: Any,
-) -> tuple[list[StepSegment], list[ProactiveInterval], dict[int, list[dict[str, Any]]]]:
-    """Inverse of annotations_to_obj: (segments, proactive intervals, hand boxes).
+def annotations_from_obj(obj: Any) -> dict[str, Any]:
+    """Inverse of annotations_to_obj, as SessionTrace keyword arguments.
 
+    Each hand box becomes a dict of the HAND_BOX_FIELDS it has, converted to
+    their types; a missing field is left to the ``hand_box_keys`` rule.
     Raises SessionFormatError naming the malformed entry, e.g. ``segment 2: ...``.
     """
     if not isinstance(obj, dict):
@@ -154,7 +240,7 @@ def annotations_from_obj(
                     status=ExecutionStatus.parse(entry["status"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SessionFormatError(f"segment {i}: {exc}") from None
     intervals: list[ProactiveInterval] = []
     for i, entry in enumerate(obj.get("proactive_intervals") or []):
@@ -166,15 +252,18 @@ def annotations_from_obj(
                     step=str(entry["step"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SessionFormatError(f"proactive interval {i}: {exc}") from None
     hand_boxes: dict[int, list[dict[str, Any]]] = {}
     for key, boxes in (obj.get("hand_boxes") or {}).items():
         try:
-            hand_boxes[int(key)] = [dict(b) for b in boxes]
-        except (TypeError, ValueError) as exc:
+            hand_boxes[int(key)] = [
+                {k: convert(box[k]) for k, convert in HAND_BOX_FIELDS.items() if k in box}
+                for box in boxes
+            ]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SessionFormatError(f"hand_boxes[{key!r}]: {exc}") from None
-    return segments, intervals, hand_boxes
+    return {"segments": segments, "proactive_intervals": intervals, "hand_boxes": hand_boxes}
 
 
 def load_session(path: str | Path) -> SessionTrace:
@@ -188,16 +277,24 @@ def load_session(path: str | Path) -> SessionTrace:
     if not root.is_dir():
         _fail(root, "missing session directory")
 
-    manifest = _load_json(root / "manifest.json")
-    for key in ("instruction", "width", "height", "pair_gap", "frames"):
-        if key not in manifest:
-            _fail(root / "manifest.json", f"missing key {key!r}")
+    manifest_path = root / "manifest.json"
+    manifest = _load_json(manifest_path)
+    try:
+        header = header_from_obj(manifest)
+    except SessionFormatError as exc:
+        _fail(manifest_path, str(exc))
+    # a header that breaks a session rule is refused by name, before any frame is read
+    bare = SessionTrace(**header, frames=[], imu=[], segments=[], proactive_intervals=[])
+    if not (report := StreamCheck(bare, ValidationReport()).report).ok:
+        _fail(manifest_path, str(report))
+    if "frames" not in manifest:
+        _fail(manifest_path, "missing key 'frames'")
 
     frames: list[FrameRecord] = []
     for i, entry in enumerate(manifest["frames"]):
         for key in ("t", "pair", "slot", "file"):
             if key not in entry:
-                _fail(root / "manifest.json", f"frame entry {i} missing key {key!r}")
+                _fail(manifest_path, f"frame entry {i} missing key {key!r}")
         frame_path = root / entry["file"]
         if not frame_path.is_file():
             _fail(frame_path, "missing file")
@@ -214,8 +311,8 @@ def load_session(path: str | Path) -> SessionTrace:
                     image=image,
                 )
             )
-        except (TypeError, ValueError) as exc:
-            _fail(root / "manifest.json", f"frame entry {i}: {exc}")
+        except (TypeError, ValueError, OverflowError) as exc:
+            _fail(manifest_path, f"frame entry {i}: {exc}")
 
     imu_path = root / "imu.csv"
     if not imu_path.is_file():
@@ -240,20 +337,15 @@ def load_session(path: str | Path) -> SessionTrace:
 
     ann_path = root / "annotations.json"
     try:
-        segments, intervals, hand_boxes = annotations_from_obj(_load_json(ann_path))
+        annotations = annotations_from_obj(_load_json(ann_path))
     except SessionFormatError as exc:
         _fail(ann_path, str(exc))
 
     trace = SessionTrace(
-        instruction=str(manifest["instruction"]),
-        width=int(manifest["width"]),
-        height=int(manifest["height"]),
-        pair_gap=float(manifest["pair_gap"]),
+        **header,
+        **annotations,
         frames=frames,
         imu=imu,
-        segments=segments,
-        proactive_intervals=intervals,
-        hand_boxes=hand_boxes,
         guideline_doc_id=manifest.get("guideline_doc_id"),
     )
     report = validate_session(trace)
@@ -263,39 +355,22 @@ def load_session(path: str | Path) -> SessionTrace:
 
 
 def validate_session(trace: SessionTrace) -> ValidationReport:
-    """Check every session invariant and report all violations found."""
+    """Check every session invariant and report all violations found.
+
+    Beyond StreamCheck's rules, compare the annotations with the whole
+    recording, which a live session cannot know when it starts.
+    """
     rep = ValidationReport()
-
-    if not trace.instruction.strip():
-        rep.add("empty_instruction", "session instruction is empty")
-    if trace.width <= 0 or trace.height <= 0:
-        rep.add("bad_geometry", f"frame geometry {trace.width}x{trace.height} is not positive")
-    if trace.pair_gap <= 0:
-        rep.add("bad_pair_gap", f"pair gap {trace.pair_gap} is not positive")
-
+    check = StreamCheck(trace, rep)
     if not trace.frames:
         rep.add("empty_stream", "session has no frames")
     if not trace.imu:
         rep.add("empty_stream", "session has no imu samples")
-
-    check = StreamCheck(trace, rep)
     for s in trace.imu:
         check.imu(s)
     for fr in trace.frames:
         check.frame(fr)
     check.end()
-
-    ordered = sorted(range(len(trace.segments)), key=lambda i: trace.segments[i].start)
-    for a, b in zip(ordered, ordered[1:]):
-        if trace.segments[a].end > trace.segments[b].start:
-            rep.add(
-                "segment_overlap",
-                f"segments {a} and {b} overlap: "
-                f"[{trace.segments[a].start}, {trace.segments[a].end}) and "
-                f"[{trace.segments[b].start}, {trace.segments[b].end})",
-            )
-    if [trace.segments[i] for i in ordered] != trace.segments:
-        rep.add("segment_order", "segments are not sorted by start time")
 
     horizon = trace.duration
     for i, seg in enumerate(trace.segments):
@@ -304,57 +379,26 @@ def validate_session(trace: SessionTrace) -> ValidationReport:
                 "segment_bounds",
                 f"segment {i} [{seg.start}, {seg.end}) leaves [0, {horizon}]",
             )
-
-    steps = {seg.step for seg in trace.segments}
     for i, iv in enumerate(trace.proactive_intervals):
-        if iv.step not in steps:
-            rep.add(
-                "interval_step",
-                f"proactive interval {i} names step {iv.step!r} absent from segments",
-            )
-            continue
         if iv.start < 0 or iv.end > horizon:
             rep.add(
                 "interval_bounds",
                 f"proactive interval {i} [{iv.start}, {iv.end}] leaves [0, {horizon}]",
             )
-        if not _covered(iv, [s for s in trace.segments if s.step == iv.step]):
-            rep.add(
-                "interval_coverage",
-                f"proactive interval {i} [{iv.start}, {iv.end}] is not inside "
-                f"the segments of step {iv.step!r}",
-            )
-
     pair_ids = {fr.pair_id for fr in trace.frames}
-    for pid, boxes in trace.hand_boxes.items():
+    for pid in trace.hand_boxes:
         if pid not in pair_ids:
             rep.add("hand_box_pair", f"hand boxes recorded for unknown pair {pid}")
-        for j, box in enumerate(boxes):
-            if not HAND_BOX_KEYS.issubset(box):
-                rep.add("hand_box_keys", f"hand box {j} of pair {pid} missing keys")
-                continue
-            if box["side"] not in HAND_SIDES:
-                rep.add("hand_box_side", f"hand box {j} of pair {pid} has side {box['side']!r}")
-            x, y, w, h = (int(box[k]) for k in ("x", "y", "w", "h"))
-            if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > trace.width or y + h > trace.height:
-                rep.add(
-                    "hand_box_bounds",
-                    f"hand box {j} of pair {pid} ({x},{y},{w},{h}) leaves the frame",
-                )
-
     return rep
 
 
 def _covered(iv: ProactiveInterval, segs: list[StepSegment]) -> bool:
     """True if [iv.start, iv.end] is inside the union of the given segments."""
-    spans = sorted((s.start, s.end) for s in segs)
     cursor = iv.start
-    for lo, hi in spans:
+    for lo, hi in sorted((s.start, s.end) for s in segs):
         if lo > cursor:
             break
         cursor = max(cursor, hi)
-        if cursor >= iv.end:
-            return True
     return cursor >= iv.end
 
 
@@ -375,10 +419,7 @@ def write_session(trace: SessionTrace, path: str | Path) -> Path:
             {"t": fr.timestamp, "pair": fr.pair_id, "slot": fr.slot, "file": f"frames/{name}"}
         )
     manifest = {
-        "instruction": trace.instruction,
-        "width": trace.width,
-        "height": trace.height,
-        "pair_gap": trace.pair_gap,
+        **header_to_obj(trace),
         "guideline_doc_id": trace.guideline_doc_id,
         "frames": entries,
     }

@@ -1,11 +1,17 @@
 """Minimal 8-bit grayscale PGM reader/writer.
 
-Frames are stored as binary PGM (P5) with maxval 255. The reader also accepts
-ASCII PGM (P2) so small fixtures can be written by hand.
+Frames are stored as binary PGM (P5) with maxval 255, the only form the
+reader accepts.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
+
+# magic, width, height and maxval, separated by whitespace and '#' comments
+# that run to the end of their line, then one whitespace byte before the raster
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def write_pgm(image: np.ndarray) -> bytes:
@@ -18,50 +24,18 @@ def write_pgm(image: np.ndarray) -> bytes:
 
 
 def read_pgm(data: bytes) -> np.ndarray:
-    """Decode P5 or P2 PGM bytes into a (height, width) uint8 array."""
-    if data[:2] not in (b"P5", b"P2"):
-        raise ValueError("not a PGM image (expected P5 or P2 magic)")
-    magic = data[:2]
-
-    # header = magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed through end of line
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(data):
-            raise ValueError("truncated PGM header")
-        c = data[pos : pos + 1]
-        if c == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif c.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise ValueError("malformed PGM header") from None
+    """Decode binary PGM (P5) bytes into a (height, width) uint8 array."""
+    if data[:2] != b"P5":
+        raise ValueError("not a PGM image (expected P5 magic)")
+    header = _HEADER.match(data)
+    if header is None:
+        raise ValueError("malformed PGM header")
+    w, h, maxval = (int(v) for v in header.groups())
     if maxval != 255:
         raise ValueError(f"unsupported PGM maxval {maxval} (expected 255)")
     if w <= 0 or h <= 0:
         raise ValueError(f"bad PGM dimensions {w}x{h}")
-
-    if magic == b"P5":
-        pos += 1  # single whitespace byte after maxval
-        raster = data[pos : pos + w * h]
-        if len(raster) != w * h:
-            raise ValueError("PGM raster shorter than header promises")
-        return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
-
-    values = data[pos:].split()
-    if len(values) != w * h:
+    raster = data[header.end() : header.end() + w * h]
+    if len(raster) != w * h:
         raise ValueError("PGM raster shorter than header promises")
-    samples = [int(v) for v in values]
-    if min(samples) < 0 or max(samples) > 255:
-        raise ValueError("PGM sample out of range")
-    return np.array(samples, dtype=np.uint8).reshape(h, w)
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()

@@ -177,7 +177,7 @@ def test_validate_guideline_rejects_cycles():
 
 
 def flow(dx, dy):
-    return FlowSummary(dx, dy, math.hypot(dx, dy), 576, 9, 9)
+    return FlowSummary(dx, dy, math.hypot(dx, dy), 9, 9)
 
 
 def test_direction_name_covers_all_eight_sectors():

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -18,8 +19,6 @@ from stepassist.harness.config import (
     ReasonerSpec,
     StructurerSpec,
     config_from_dict,
-    config_from_file,
-    config_to_dict,
 )
 from stepassist.harness.events import (
     DELIVERY,
@@ -30,6 +29,7 @@ from stepassist.harness.events import (
     TRANSITION,
     EventLog,
 )
+from stepassist.harness import cli
 from stepassist.harness import pipeline as pipeline_module
 from stepassist.harness.pipeline import (
     SessionPipeline,
@@ -842,7 +842,7 @@ def test_config_round_trips_through_dict_and_file(tmp_path):
     cfg = fixture_config(
         structurer=StructurerSpec(endpoint="http://127.0.0.1:9/chat")
     )
-    rebuilt = config_from_dict(config_to_dict(cfg))
+    rebuilt = config_from_dict(dataclasses.asdict(cfg))
     assert rebuilt == cfg
 
     path = tmp_path / "run.json"
@@ -856,7 +856,9 @@ def test_config_round_trips_through_dict_and_file(tmp_path):
         ),
         encoding="utf-8",
     )
-    loaded = config_from_file(path)
+    # the file as the CLI's --config reads it, with no flag given
+    no_flags = {dest: None for _, dest, _ in cli._CONFIG_FLAGS}
+    loaded = cli._build_config(argparse.Namespace(config=str(path), **no_flags))
     assert loaded.sampler.smoothing_window == 0.25
     assert loaded.reasoner.oracle.step_error_rate == 0.2
     assert loaded.reasoner.oracle.seed == 7

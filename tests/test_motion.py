@@ -282,8 +282,7 @@ def test_region_flow_processes_fewer_pixels_than_full_frame(standard_trace):
     region = box_flow_region(boxes[0], standard_trace.width, standard_trace.height, cfg.block)
     focused = estimate_flow(pair.frame_a.image, pair.frame_b.image, region, cfg)
     full = estimate_flow(pair.frame_a.image, pair.frame_b.image, None, cfg)
-    assert focused.pixels_processed == region[2] * region[3]
-    assert focused.pixels_processed < full.pixels_processed
+    assert focused.blocks_total < full.blocks_total
     # the scripted left hand translates 12 px right at t=1.5
     assert focused.dx == 12.0 and focused.dy == 0.0
 
@@ -308,9 +307,9 @@ def test_flow_config_validation():
 
 
 def test_flow_summary_checks_magnitude():
-    FlowSummary(3.0, 4.0, 5.0, 100, 4, 4)
+    FlowSummary(3.0, 4.0, 5.0, 4, 4)
     with pytest.raises(ValueError):
-        FlowSummary(3.0, 4.0, 6.0, 100, 4, 4)
+        FlowSummary(3.0, 4.0, 6.0, 4, 4)
 
 
 # -- hand detection ----------------------------------------------------------

@@ -1,7 +1,9 @@
 import base64
 import dataclasses
 import json
+import math
 import socket
+import struct
 import threading
 import time
 from contextlib import contextmanager
@@ -15,12 +17,13 @@ from stepassist.harness import pipeline as pipeline_module
 from stepassist.harness.config import PipelineConfig, ReasonerSpec
 from stepassist.harness.client import record_message, stream_session
 from stepassist.harness.events import DELIVERY, ERROR, KEY_MOMENT, REASONED, SAMPLED_PAIR
-from stepassist.harness.pipeline import replay, sensor_records
+from stepassist.harness.pipeline import SessionPipeline, replay, sensor_records
 from stepassist.harness.report import REPORT_FILE
 from stepassist.harness.server import INTERNAL, PROTOCOL_VERSION, PipelineServer
 from stepassist.motion import HandDetectionError
 from stepassist.trace.io import (
     annotations_to_obj,
+    header_to_obj,
     load_session,
     validate_session,
     write_session,
@@ -34,7 +37,7 @@ from stepassist.trace.synthetic import (
     generate_synthetic,
     standard_script,
 )
-from stepassist.trace.types import ExecutionStatus
+from stepassist.trace.types import ExecutionStatus, ProactiveInterval
 
 from conftest import dead_endpoint, fixture_config, hanging_endpoint
 from test_harness import interleaved_trace, shelf_script
@@ -287,6 +290,87 @@ def test_interleaved_pairs_are_a_stream_fault(server):
         stream_session(interleaved_trace(), *server.address, timeout=10)
 
 
+def break_rule(trace, case):
+    """Break one rule that needs no sensor record in the shelf session."""
+    segments, boxes = trace.segments, next(iter(trace.hand_boxes.values()))
+    if case == "empty_instruction":
+        trace.instruction = "  "
+    elif case == "bad_geometry":
+        trace.width = 0
+    elif case.startswith("bad_pair_gap"):
+        trace.pair_gap = {"bad_pair_gap": 0.0, "bad_pair_gap-nan": math.nan,
+                          "bad_pair_gap-inf": math.inf}[case]
+    elif case == "segment_order":
+        segments[1], segments[2] = segments[2], segments[1]
+    elif case == "segment_overlap":
+        segments[1] = dataclasses.replace(segments[1], start=segments[0].end - 0.5)
+    elif case == "interval_step":
+        trace.proactive_intervals.append(ProactiveInterval(0.0, 1.0, "Paint the fence"))
+    elif case == "interval_coverage":
+        # names a real step but lies over the other step's span
+        trace.proactive_intervals.append(ProactiveInterval(5.0, 6.0, segments[0].step))
+    elif case == "hand_box_keys":
+        del boxes[0]["h"]
+    elif case == "hand_box_side":
+        boxes[0]["side"] = "up"
+    else:
+        boxes[0]["x"] = trace.width - 1
+    return case.split("-")[0]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["empty_instruction", "bad_geometry", "bad_pair_gap", "bad_pair_gap-nan", "bad_pair_gap-inf",
+     "segment_order", "segment_overlap", "interval_step", "interval_coverage", "hand_box_keys",
+     "hand_box_side", "hand_box_bounds"],
+)
+def test_validation_replay_and_serve_refuse_the_same_header(server, case):
+    trace = generate_synthetic(shelf_script())
+    kind = break_rule(trace, case)
+    message = next(v.message for v in validate_session(trace).violations if v.kind == kind)
+
+    with pytest.raises(ValueError) as err:
+        SessionPipeline(fixture_config(), trace)
+    assert str(err.value) == message
+
+    with raw_client(server) as (send, recv):
+        send(start_message(**header_to_obj(trace), annotations=annotations_to_obj(trace)))
+        err = recv()
+        assert err["code"] == "bad_stream" and err["detail"] == f"ValueError: {message}"
+        send(start_message())  # the connection is still usable
+        assert recv()["of"] == "session_start"
+
+
+def test_clients_that_reset_end_their_handlers_quietly(server, monkeypatch):
+    tcp = server._tcp
+    faults, closed = [], []
+    monkeypatch.setattr(tcp, "handle_error", lambda request, address: faults.append(address))
+    shutdown_request = tcp.shutdown_request
+
+    def record_close(request):
+        closed.append(request)
+        shutdown_request(request)
+
+    monkeypatch.setattr(tcp, "shutdown_request", record_close)
+    trace = generate_synthetic(shelf_script())
+    start = start_message(**header_to_obj(trace), annotations=annotations_to_obj(trace))
+    lines = [start] + [record_message(r) for r in list(sensor_records(trace))[:60]]
+    payload = b"".join(json.dumps(m).encode("utf-8") + b"\n" for m in lines)
+    for _ in range(5):
+        sock = socket.create_connection(server.address, timeout=10)
+        sock.sendall(payload)
+        # linger 0: close sends a reset, not a graceful end of stream
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+    deadline = time.monotonic() + 10
+    while len(closed) < 5 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(closed) == 5 and faults == []
+
+    result = stream_session(trace, *server.address, session_id="after-resets")
+    assert result.errors == [] and result.pair_acks == len(trace.pairs())
+
+
 def test_second_session_start_is_refused_while_open(server):
     with raw_client(server) as (send, recv):
         send(start_message())
@@ -356,6 +440,25 @@ def test_malformed_annotation_segment_is_a_stream_fault(server):
         assert recv()["of"] == "session_start"
         send({"type": "session_end"})
         assert recv()["of"] == "session_end"
+
+
+@pytest.mark.parametrize(
+    "overrides, detail",
+    [
+        ({"instruction": None}, "instruction: expected a string"),
+        ({"width": "abc"}, "width: invalid literal"),
+        ({"annotations": dict(SEGMENT_ANN, hand_boxes={"0": [
+            {"side": "left", "x": "abc", "y": 0, "w": 4, "h": 4}]})}, "hand_boxes['0']:"),
+    ],
+    ids=["instruction-null", "width-text", "hand-box-x-text"],
+)
+def test_a_header_field_that_does_not_convert_is_a_stream_fault(server, overrides, detail):
+    with raw_client(server) as (send, recv):
+        send(start_message(**overrides))
+        err = recv()
+        assert err["code"] == "bad_stream" and detail in err["detail"]
+        send(start_message())
+        assert recv()["of"] == "session_start"
 
 
 def test_frame_geometry_mismatch_is_a_stream_fault(server):

@@ -66,11 +66,15 @@ def test_pgm_round_trip():
     assert np.array_equal(read_pgm(write_pgm(img)), img)
 
 
-def test_pgm_reads_ascii_p2_with_comments():
-    data = b"P2\n# a comment\n3 2\n255\n0 10 20\n30 40 255\n"
-    img = read_pgm(data)
-    assert img.shape == (2, 3)
-    assert img[1, 2] == 255
+def test_pgm_refuses_ascii_p2():
+    with pytest.raises(ValueError, match="not a PGM image"):
+        read_pgm(b"P2\n# a comment\n3 2\n255\n0 10 20\n30 40 255\n")
+
+
+def test_pgm_reads_header_comments():
+    img = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    data = b"P5\n# a comment\n3 2\n# another\n255\n" + img.tobytes()
+    assert np.array_equal(read_pgm(data), img)
 
 
 def test_pgm_rejects_bad_magic_and_truncation():
@@ -88,11 +92,9 @@ def test_pgm_rejects_wrong_maxval():
 
 @st.composite
 def damaged_pgm(draw):
-    """A valid P5 or P2 image with a few bytes overwritten, inserted or deleted."""
+    """A valid P5 image with a few bytes overwritten, inserted or deleted."""
     image = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    data = bytearray(draw(st.sampled_from(
-        [write_pgm(image), b"P2\n# c\n4 3\n255\n" + b" ".join(b"%d" % v for v in image.flat)]
-    )))
+    data = bytearray(b"P5\n# c\n4 3\n255\n" + image.tobytes())
     noise = st.binary(min_size=1, max_size=3)
     # digits, separators and comment marks reach the header parser more often than noise
     tokens = st.text("0123456789 #\n-", min_size=1, max_size=24).map(str.encode)
@@ -138,9 +140,10 @@ def test_write_then_load_round_trips(tmp_path, standard_trace):
 
 def test_annotation_codec_round_trips(standard_trace):
     obj = json.loads(json.dumps(annotations_to_obj(standard_trace)))
-    segments, intervals, hand_boxes = annotations_from_obj(obj)
-    assert segments == standard_trace.segments
-    assert intervals == standard_trace.proactive_intervals
+    annotations = annotations_from_obj(obj)
+    assert annotations["segments"] == standard_trace.segments
+    assert annotations["proactive_intervals"] == standard_trace.proactive_intervals
+    hand_boxes = annotations["hand_boxes"]
     assert hand_boxes and hand_boxes == standard_trace.hand_boxes
     assert all(isinstance(pid, int) for pid in hand_boxes)
 
@@ -183,7 +186,14 @@ def damage(root, case):
         imu_rows[2] = "0.5,not_a_number,0.0,0.0"
     elif case == "annotations-not-object":
         (root / "annotations.json").write_text("[]")
-    if case in ("manifest-key", "frame-entry-key"):
+    elif case in HEADER_DAMAGE:
+        key, value = HEADER_DAMAGE[case]
+        manifest[key] = value
+    elif case in HAND_BOX_DAMAGE:
+        ann = json.loads((root / "annotations.json").read_text())
+        ann["hand_boxes"]["0"][0]["x"] = HAND_BOX_DAMAGE[case]
+        (root / "annotations.json").write_text(json.dumps(ann))
+    if case in ("manifest-key", "frame-entry-key") or case in HEADER_DAMAGE:
         (root / "manifest.json").write_text(json.dumps(manifest))
     if case.startswith(("imu", "non-numeric")):
         (root / "imu.csv").write_text("\n".join(imu_rows) + "\n")
@@ -201,7 +211,22 @@ LOAD_REFUSALS = {
     "imu-row-fields": "imu.csv:3: expected 4 fields, got 3",
     "non-numeric-field": "imu.csv:3: non-numeric field",
     "annotations-not-object": "annotations.json: annotations must be a JSON object",
+    "instruction-null": "manifest.json: instruction: expected a string, got None",
+    "width-text": "manifest.json: width: invalid literal for int()",
+    "width-null": "manifest.json: width: int() argument must be",
+    "pair-gap-text": "manifest.json: pair_gap: could not convert string to float",
+    "pair-gap-nan": "manifest.json: [bad_pair_gap] pair gap nan is not positive",
+    "hand-box-x-null": "annotations.json: hand_boxes['0']: int() argument must be",
+    "hand-box-x-text": "annotations.json: hand_boxes['0']: invalid literal for int()",
 }
+HEADER_DAMAGE = {
+    "instruction-null": ("instruction", None),
+    "width-text": ("width", "abc"),
+    "width-null": ("width", None),
+    "pair-gap-text": ("pair_gap", "x"),
+    "pair-gap-nan": ("pair_gap", math.nan),
+}
+HAND_BOX_DAMAGE = {"hand-box-x-null": None, "hand-box-x-text": "abc"}
 
 
 @pytest.mark.parametrize("case", LOAD_REFUSALS)
