@@ -137,11 +137,3 @@ def update(
         prev_status=out.status,
     )
     return new_state, decision
-
-
-def inferred_step_sequence(state: CheckerState) -> tuple[str, ...]:
-    """Completed steps plus the still-active one: the checker's step story."""
-    seq = state.history.completed
-    if state.active_step is not None and state.active_step not in seq:
-        seq = seq + (state.active_step,)
-    return seq

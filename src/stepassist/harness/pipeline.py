@@ -1,16 +1,16 @@
 """The session engine: one causal pass from sensor records to deliveries.
 
-SessionPipeline consumes IMU samples and frames in timestamp order and
-resolves each scheduled pair as soon as causality allows: the IMU must have
-passed the scheduled time (a later sample at that time could still arrive
-until then) and the frame stream must have passed the binding tolerance (or
-ended). Batch replay and the live socket server both drive this
-same engine, so a replayed trace and the same trace streamed over TCP produce
-identical event sequences by construction.
+SessionPipeline takes IMU samples and frames, each stream in timestamp order.
+The gyro path decides each scheduled time once a sample strictly after it
+arrives (the head motion there sets the mode and the next time); the frame
+path binds it to a pair once the frames pass its binding tolerance or end.
+Batch replay and the live socket server both drive this engine, so a replayed
+trace and the same trace streamed over TCP log identical events by construction.
 """
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Iterator, Sequence
 
 from ..checker import CheckerState, update
@@ -143,9 +143,9 @@ class SessionPipeline:
     annotations; its ``frames`` and ``imu`` are never read, and one that
     breaks a StreamCheck rule raises ValueError here.
 
-    ``imu`` and ``pairs`` hold a causal window, not the session: as each
-    scheduled time resolves, ``drop_unreachable`` cuts what no later time can
-    use, back to ``smoothing_window`` and half the pair gap before it. The
+    ``imu`` and ``pairs`` hold a causal window, not the session: deciding a
+    time cuts the gyro back to ``smoothing_window`` before the next one, and
+    binding one drops the pairs more than half the pair gap before it. The
     schedule only moves forward, so the cuts never change a result.
     """
 
@@ -187,6 +187,7 @@ class SessionPipeline:
         self.checker_state = CheckerState()
         self.imu: list[ImuSample] = []
         self.pairs: list[FramePair] = []
+        self.decided: deque[tuple[float, float, str]] = deque()  # (t, motion, mode) to bind
         self.pair_count = 0
         self._finished = False
 
@@ -196,8 +197,10 @@ class SessionPipeline:
         self._check(self._stream.imu, sample)
         self.imu.append(sample)
         if sample.timestamp <= self.sampler_state.next_pair_time:
-            return []  # nothing resolves before an imu sample passes the schedule
-        return self._advance(finished=False)
+            return []  # another sample at the next scheduled time may follow
+        while sample.timestamp > self.sampler_state.next_pair_time:
+            self._decide()
+        return self._bind(finished=False)
 
     def feed_frame(self, frame: FrameRecord) -> list[Event]:
         first = self._stream.waiting
@@ -206,11 +209,17 @@ class SessionPipeline:
             return []
         self.pairs.append(FramePair(frame.pair_id, first.timestamp, first, frame))
         self.pair_count += 1
-        return self._advance(finished=False)
+        return self._bind(finished=False)
 
     def finish(self) -> list[Event]:
         self._check(self._stream.end)
-        events = self._advance(finished=True)
+        # like batch replay, the schedule runs on to the last frame time and no further
+        horizon = self._stream.last_frame_t if self.pair_count else float("-inf")
+        while self.sampler_state.next_pair_time <= horizon:
+            self._decide()
+        while self.decided and self.decided[-1][0] > horizon:
+            self.decided.pop()
+        events = self._bind(finished=True)
         self._finished = True
         return events
 
@@ -222,29 +231,26 @@ class SessionPipeline:
         if self._stream.report.violations:
             raise ValueError(self._stream.report.violations[0].message)
 
-    # -- resolution ------------------------------------------------------
+    # -- decide (gyro path), then bind (frame path) ----------------------
 
-    def _can_resolve(self, t: float, finished: bool) -> bool:
-        if finished:
-            # the last frame timestamp bounds the schedule, like batch replay
-            return self.pair_count > 0 and t <= self._stream.last_frame_t
-        if not self.imu or self.imu[-1].timestamp <= t:
-            # motion estimate not causal yet: another sample at t may follow
-            return False
-        # binding is decided once the frame stream has passed t + tolerance
-        return bool(self.pairs) and self.pairs[-1].t > t + self._bind_tolerance
-
-    def _advance(self, finished: bool) -> list[Event]:
-        before = len(self.log)
-        while self._can_resolve(self.sampler_state.next_pair_time, finished):
-            self._resolve_moment(self.sampler_state.next_pair_time)
-        return self.log.events[before:]
-
-    def _resolve_moment(self, t: float) -> None:
-        drop_unreachable(self.imu, self.pairs, t, self.cfg.sampler, self._bind_tolerance)
+    def _decide(self) -> None:
+        t = self.sampler_state.next_pair_time
         motion = head_motion(self.imu, t, self.cfg.sampler)
         self.sampler_state = schedule_next_pair(self.sampler_state, motion, self.cfg.sampler)
+        self.decided.append((t, motion, self.sampler_state.mode))
+        drop_unreachable(self.imu, self.sampler_state.next_pair_time, self.cfg.sampler)
 
+    def _bind(self, finished: bool) -> list[Event]:
+        before = len(self.log)
+        while self.decided and (
+            finished or self.pairs and self.pairs[-1].t > self.decided[0][0] + self._bind_tolerance
+        ):
+            self._resolve_moment(*self.decided.popleft())
+        return self.log.events[before:]
+
+    def _resolve_moment(self, t: float, motion: float, mode: str) -> None:
+        while self.pairs and t - self.pairs[0].t > self._bind_tolerance:
+            del self.pairs[0]  # no later time binds it
         idx = bind_pair([p.t for p in self.pairs], t, self._bind_tolerance)
         if idx is None:
             self.log.append(
@@ -262,7 +268,7 @@ class SessionPipeline:
             pair.t,
             pair=pair.pair_id,
             scheduled_t=t,
-            mode=self.sampler_state.mode,
+            mode=mode,
             motion=motion,
         )
 

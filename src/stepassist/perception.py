@@ -21,7 +21,7 @@ from .motion import (
     box_flow_region,
     estimate_flow,
 )
-from .trace.types import FramePair, ImuSample, SessionTrace
+from .trace.types import FramePair, ImuSample
 
 MODE_NORMAL = "normal"
 MODE_BURST = "burst"
@@ -130,54 +130,10 @@ def bind_pair(
     return best
 
 
-def drop_unreachable(
-    imu: list[ImuSample], pairs: list[FramePair], t: float, cfg: SamplerConfig, tolerance: float
-) -> None:
-    """Drop the records no schedule time from t on can use: the samples before
-    the latest one at or before t - smoothing_window (where ``head_motion``'s
-    window and fallback start) and the pairs more than ``tolerance`` before t
-    (which ``bind_pair`` rejects). Both only recede as the schedule advances."""
+def drop_unreachable(imu: list[ImuSample], t: float, cfg: SamplerConfig) -> None:
+    """Drop the samples no schedule time from t on can use: those before the latest
+    one at or before t - smoothing_window, where ``head_motion``'s window starts."""
     del imu[: max(bisect_right(imu, t - cfg.smoothing_window, key=_TIMESTAMP) - 1, 0)]
-    while pairs and t - pairs[0].t > tolerance:
-        del pairs[0]
-
-
-@dataclass(frozen=True)
-class ScheduledSample:
-    """One stop of the sampler walk; ``pair`` is None on a sampling miss."""
-
-    scheduled_t: float
-    motion: float
-    mode: str  # mode decided at this pair, governing the gap to the next
-    pair: FramePair | None
-
-
-def run_sampler(trace: SessionTrace, cfg: SamplerConfig) -> list[ScheduledSample]:
-    """Walk the sampling schedule over a whole recorded session.
-
-    Starts at t = 0 and stops once the schedule passes the last frame
-    timestamp. Each scheduled time is bound to the nearest recorded pair
-    within half the session's pair gap.
-    """
-    pairs = trace.pairs()
-    pair_times = [p.t for p in pairs]
-    out: list[ScheduledSample] = []
-    state = SamplerState()
-    horizon = trace.duration
-    while state.next_pair_time <= horizon:
-        t = state.next_pair_time
-        motion = head_motion(trace.imu, t, cfg)
-        state = schedule_next_pair(state, motion, cfg)
-        bound = bind_pair(pair_times, t, trace.pair_gap / 2.0)
-        out.append(
-            ScheduledSample(
-                scheduled_t=t,
-                motion=motion,
-                mode=state.mode,
-                pair=None if bound is None else pairs[bound],
-            )
-        )
-    return out
 
 
 def select_key_moment(

@@ -220,6 +220,16 @@ def annotations_to_obj(trace: SessionTrace) -> dict[str, Any]:
     }
 
 
+def _entries(obj: dict[str, Any], key: str, kind: type) -> Any:
+    """``obj[key]``, empty when absent or null; SessionFormatError when it is not a ``kind``."""
+    value = obj.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise SessionFormatError(f"{key} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 def annotations_from_obj(obj: Any) -> dict[str, Any]:
     """Inverse of annotations_to_obj, as SessionTrace keyword arguments.
 
@@ -230,7 +240,7 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
     if not isinstance(obj, dict):
         raise SessionFormatError("annotations must be a JSON object")
     segments: list[StepSegment] = []
-    for i, entry in enumerate(obj.get("segments") or []):
+    for i, entry in enumerate(_entries(obj, "segments", list)):
         try:
             segments.append(
                 StepSegment(
@@ -243,7 +253,7 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SessionFormatError(f"segment {i}: {exc}") from None
     intervals: list[ProactiveInterval] = []
-    for i, entry in enumerate(obj.get("proactive_intervals") or []):
+    for i, entry in enumerate(_entries(obj, "proactive_intervals", list)):
         try:
             intervals.append(
                 ProactiveInterval(
@@ -255,7 +265,7 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SessionFormatError(f"proactive interval {i}: {exc}") from None
     hand_boxes: dict[int, list[dict[str, Any]]] = {}
-    for key, boxes in (obj.get("hand_boxes") or {}).items():
+    for key, boxes in _entries(obj, "hand_boxes", dict).items():
         try:
             hand_boxes[int(key)] = [
                 {k: convert(box[k]) for k, convert in HAND_BOX_FIELDS.items() if k in box}
@@ -289,12 +299,18 @@ def load_session(path: str | Path) -> SessionTrace:
         _fail(manifest_path, str(report))
     if "frames" not in manifest:
         _fail(manifest_path, "missing key 'frames'")
+    if not isinstance(manifest["frames"], list):
+        _fail(manifest_path, "frames must be a JSON array")
 
     frames: list[FrameRecord] = []
     for i, entry in enumerate(manifest["frames"]):
+        if not isinstance(entry, dict):
+            _fail(manifest_path, f"frame entry {i} must be a JSON object")
         for key in ("t", "pair", "slot", "file"):
             if key not in entry:
                 _fail(manifest_path, f"frame entry {i} missing key {key!r}")
+        if not isinstance(entry["file"], str):
+            _fail(manifest_path, f"frame entry {i}: file must be a string")
         frame_path = root / entry["file"]
         if not frame_path.is_file():
             _fail(frame_path, "missing file")

@@ -344,41 +344,3 @@ def standard_script(seed: int = 0) -> SyntheticScript:
         guideline_doc_id="tea",
         seed=seed,
     )
-
-
-def steady_script(seed: int = 0) -> SyntheticScript:
-    """Six-step assembly session with steady 1 Hz key moments and no bursts.
-
-    Built for noisy-reasoner experiments: the head stays still (every pair
-    lands on the 1 s grid), both hands rest for the first three seconds so
-    the opening prediction falls on a settled scene, and one hand then moves
-    continuously until the final second, giving one key moment per sampled
-    pair across the whole session.
-    """
-    labels = [
-        "Lay out parts",
-        "Attach legs",
-        "Mount shelf",
-        "Fit drawer",
-        "Tighten screws",
-        "Check stability",
-    ]
-    step_len = 12.0
-    phases = (
-        PhaseSpec(ExecutionStatus.JUST_START, 2.0),
-        PhaseSpec(ExecutionStatus.IN_PROGRESS, 8.0),
-        PhaseSpec(ExecutionStatus.ABOUT_TO_FINISH, 2.0),
-    )
-    steps = tuple(
-        StepPlan(step=label, phases=phases, proactive=((0.0, 2.0), (9.0, 11.0)))
-        for label in labels
-    )
-    total = step_len * len(labels)
-    return SyntheticScript(
-        steps=steps,
-        instruction="assemble the side table",
-        burst_windows=(),
-        hands=(HandTrack(side="left", x=30, y=30, moves=(HandMove(3.0, total - 1.0, 12, 0),)),),
-        guideline_doc_id=None,
-        seed=seed,
-    )

@@ -6,7 +6,9 @@ import pytest
 from stepassist.harness.config import PipelineConfig
 from stepassist.motion import FlowConfig
 from stepassist.perception import SamplerConfig
-from stepassist.trace.synthetic import generate_synthetic, standard_script, steady_script
+from stepassist.trace.synthetic import generate_synthetic, standard_script
+
+from oracles import steady_script
 
 # Synthetic fixtures use a 0.25 s gyro period, so the smoothing window is set
 # to match (exactly one sample per window) and the flow search radius to 15

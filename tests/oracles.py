@@ -1,0 +1,112 @@
+"""Test-only oracles and scripts that the program itself never runs.
+
+``run_sampler`` walks the sampling schedule over a whole recorded session
+without the engine, so tests can check the engine's causal, windowed
+schedule against it. ``inferred_step_sequence`` reads the checker's step
+story from its state, and ``steady_script`` is a synthetic session with
+steady 1 Hz key moments for noisy-reasoner experiments.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from stepassist.checker import CheckerState
+from stepassist.perception import (
+    SamplerConfig,
+    SamplerState,
+    bind_pair,
+    head_motion,
+    schedule_next_pair,
+)
+from stepassist.trace.synthetic import (
+    HandMove,
+    HandTrack,
+    PhaseSpec,
+    StepPlan,
+    SyntheticScript,
+)
+from stepassist.trace.types import ExecutionStatus, FramePair, SessionTrace
+
+
+@dataclass(frozen=True)
+class ScheduledSample:
+    """One stop of the sampler walk; ``pair`` is None on a sampling miss."""
+
+    scheduled_t: float
+    motion: float
+    mode: str  # mode decided at this pair, governing the gap to the next
+    pair: FramePair | None
+
+
+def run_sampler(trace: SessionTrace, cfg: SamplerConfig) -> list[ScheduledSample]:
+    """Walk the sampling schedule over a whole recorded session.
+
+    Starts at t = 0 and stops once the schedule passes the last frame
+    timestamp. Each scheduled time is bound to the nearest recorded pair
+    within half the session's pair gap.
+    """
+    pairs = trace.pairs()
+    pair_times = [p.t for p in pairs]
+    out: list[ScheduledSample] = []
+    state = SamplerState()
+    horizon = trace.duration
+    while state.next_pair_time <= horizon:
+        t = state.next_pair_time
+        motion = head_motion(trace.imu, t, cfg)
+        state = schedule_next_pair(state, motion, cfg)
+        bound = bind_pair(pair_times, t, trace.pair_gap / 2.0)
+        out.append(
+            ScheduledSample(
+                scheduled_t=t,
+                motion=motion,
+                mode=state.mode,
+                pair=None if bound is None else pairs[bound],
+            )
+        )
+    return out
+
+
+def inferred_step_sequence(state: CheckerState) -> tuple[str, ...]:
+    """Completed steps plus the still-active one: the checker's step story."""
+    seq = state.history.completed
+    if state.active_step is not None and state.active_step not in seq:
+        seq = seq + (state.active_step,)
+    return seq
+
+
+def steady_script(seed: int = 0) -> SyntheticScript:
+    """Six-step assembly session with steady 1 Hz key moments and no bursts.
+
+    Built for noisy-reasoner experiments: the head stays still (every pair
+    lands on the 1 s grid), both hands rest for the first three seconds so
+    the opening prediction falls on a settled scene, and one hand then moves
+    continuously until the final second, giving one key moment per sampled
+    pair across the whole session.
+    """
+    labels = [
+        "Lay out parts",
+        "Attach legs",
+        "Mount shelf",
+        "Fit drawer",
+        "Tighten screws",
+        "Check stability",
+    ]
+    step_len = 12.0
+    phases = (
+        PhaseSpec(ExecutionStatus.JUST_START, 2.0),
+        PhaseSpec(ExecutionStatus.IN_PROGRESS, 8.0),
+        PhaseSpec(ExecutionStatus.ABOUT_TO_FINISH, 2.0),
+    )
+    steps = tuple(
+        StepPlan(step=label, phases=phases, proactive=((0.0, 2.0), (9.0, 11.0)))
+        for label in labels
+    )
+    total = step_len * len(labels)
+    return SyntheticScript(
+        steps=steps,
+        instruction="assemble the side table",
+        burst_windows=(),
+        hands=(HandTrack(side="left", x=30, y=30, moves=(HandMove(3.0, total - 1.0, 12, 0),)),),
+        guideline_doc_id=None,
+        seed=seed,
+    )

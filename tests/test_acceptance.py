@@ -16,7 +16,6 @@ from stepassist.checker import (
     CheckerState,
     DeliveryDecision,
     SuppressReason,
-    inferred_step_sequence,
     update,
 )
 from stepassist.context import GuidelineCorpus, ProgressRecord, retrieve_guideline
@@ -27,7 +26,7 @@ from stepassist.harness.server import PipelineServer
 from stepassist.harness.client import stream_session
 from stepassist.metrics import MomentRecord, align, classification_metrics, overhead_metrics, sts
 from stepassist.motion import FlowConfig, estimate_flow
-from stepassist.perception import SamplerConfig, run_sampler
+from stepassist.perception import SamplerConfig
 from stepassist.reasoner import ExecutionStatus, OracleConfig, ReasonerOutput
 from stepassist.trace.synthetic import (
     HandMove,
@@ -36,11 +35,11 @@ from stepassist.trace.synthetic import (
     StepPlan,
     generate_synthetic,
     standard_script,
-    steady_script,
 )
 from stepassist.trace.types import ProactiveInterval, StepSegment
 
 from conftest import CORPUS_DOCS, fixture_config
+from oracles import inferred_step_sequence, run_sampler, steady_script
 from test_context import INSTRUCTIONS
 from test_harness import shelf_script
 from test_metrics import (

@@ -5,11 +5,12 @@ from stepassist.checker import (
     CheckerState,
     DeliveryDecision,
     SuppressReason,
-    inferred_step_sequence,
     update,
 )
 from stepassist.context import ProgressRecord
 from stepassist.reasoner import ExecutionStatus, ReasonerOutput
+
+from oracles import inferred_step_sequence
 
 IP = ExecutionStatus.IN_PROGRESS
 JS = ExecutionStatus.JUST_START

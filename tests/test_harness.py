@@ -47,7 +47,7 @@ from stepassist.harness.report import (
     write_report,
 )
 from stepassist.metrics import MetricsReport, compute_metrics
-from stepassist.perception import SamplerConfig, run_sampler
+from stepassist.perception import SamplerConfig
 from stepassist.httpchat import ChatEndpointError
 from stepassist.reasoner import (
     MalformedOutput,
@@ -73,6 +73,7 @@ from stepassist.trace.types import (
 )
 
 from conftest import dead_endpoint, fixture_config, hanging_endpoint
+from oracles import run_sampler
 from test_reasoner import MockChat, content_reply
 
 IP = ExecutionStatus.IN_PROGRESS
@@ -526,6 +527,35 @@ def test_held_records_are_bounded_by_the_config_not_the_session_length():
 
     assert kitchen_script(9).total_duration >= 600.0
     assert held_sizes(1) == held_sizes(9)
+
+
+def test_a_camera_stall_holds_no_more_gyro_than_an_in_order_feed(standard_trace):
+    # every frame arrives 60 s after the gyro sample at its time: the gyro
+    # path still decides each scheduled time, so only the decided times wait
+    cfg = fixture_config()
+    lag = 60.0
+    stalled = sorted(
+        standard_trace.iter_sensor_records(),
+        key=lambda r: (r.timestamp + (0.0 if isinstance(r, ImuSample) else lag),
+                       isinstance(r, FrameRecord)),
+    )
+
+    def fed(records):
+        peak = {"imu": 0, "decided": 0}
+
+        def check(engine):
+            peak["imu"] = max(peak["imu"], len(engine.imu))
+            peak["decided"] = max(peak["decided"], len(engine.decided))
+
+        log = feed(SessionPipeline(cfg, standard_trace), records, check)
+        return log.dumps(), peak
+
+    in_order, in_order_peak = fed(standard_trace.iter_sensor_records())
+    stalled_log, stalled_peak = fed(stalled)
+    assert stalled_log == in_order
+    assert stalled_peak["imu"] <= in_order_peak["imu"]
+    assert lag / cfg.sampler.normal_interval <= stalled_peak["decided"]
+    assert stalled_peak["decided"] <= lag / cfg.sampler.burst_interval + 1
 
 
 class Tamper:

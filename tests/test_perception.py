@@ -12,7 +12,6 @@ from stepassist.perception import (
     SamplerState,
     bind_pair,
     head_motion,
-    run_sampler,
     schedule_next_pair,
     select_key_moment,
 )
@@ -20,6 +19,7 @@ from stepassist.trace.synthetic import generate_synthetic, standard_script
 from stepassist.trace.types import FramePair, FrameRecord, ImuSample
 
 from conftest import FIXTURE_RADIUS, FIXTURE_SMOOTHING
+from oracles import run_sampler
 
 
 def imu_stream(magnitudes, period=0.25):

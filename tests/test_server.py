@@ -449,8 +449,14 @@ def test_malformed_annotation_segment_is_a_stream_fault(server):
         ({"width": "abc"}, "width: invalid literal"),
         ({"annotations": dict(SEGMENT_ANN, hand_boxes={"0": [
             {"side": "left", "x": "abc", "y": 0, "w": 4, "h": 4}]})}, "hand_boxes['0']:"),
+        ({"annotations": dict(SEGMENT_ANN, segments=5)}, "segments must be a JSON array"),
+        ({"annotations": dict(SEGMENT_ANN, proactive_intervals=5)},
+         "proactive_intervals must be a JSON array"),
+        ({"annotations": dict(SEGMENT_ANN, hand_boxes=5)}, "hand_boxes must be a JSON object"),
+        ({"annotations": dict(SEGMENT_ANN, hand_boxes=[1])}, "hand_boxes must be a JSON object"),
     ],
-    ids=["instruction-null", "width-text", "hand-box-x-text"],
+    ids=["instruction-null", "width-text", "hand-box-x-text", "segments-number",
+         "intervals-number", "hand-boxes-number", "hand-boxes-array"],
 )
 def test_a_header_field_that_does_not_convert_is_a_stream_fault(server, overrides, detail):
     with raw_client(server) as (send, recv):

@@ -26,7 +26,6 @@ from stepassist.trace.synthetic import (
     SyntheticScript,
     generate_synthetic,
     standard_script,
-    steady_script,
 )
 from stepassist.trace.types import (
     ExecutionStatus,
@@ -36,6 +35,8 @@ from stepassist.trace.types import (
     SessionTrace,
     StepSegment,
 )
+
+from oracles import steady_script
 
 
 def small_script(**overrides):
@@ -176,6 +177,12 @@ def damage(root, case):
         del manifest["pair_gap"]
     elif case == "frame-entry-key":
         del manifest["frames"][1]["slot"]
+    elif case == "frames-number":
+        manifest["frames"] = 5
+    elif case == "frame-entry-number":
+        manifest["frames"][1] = 5
+    elif case == "frame-file-number":
+        manifest["frames"][1]["file"] = 5
     elif case == "frame-not-pgm":
         (root / "frames" / frame_file_name(0, "b")).write_bytes(b"GIF89a")
     elif case == "imu-header":
@@ -193,11 +200,21 @@ def damage(root, case):
         ann = json.loads((root / "annotations.json").read_text())
         ann["hand_boxes"]["0"][0]["x"] = HAND_BOX_DAMAGE[case]
         (root / "annotations.json").write_text(json.dumps(ann))
-    if case in ("manifest-key", "frame-entry-key") or case in HEADER_DAMAGE:
+    elif case in ANNOTATION_DAMAGE:
+        ann = json.loads((root / "annotations.json").read_text())
+        key, value = ANNOTATION_DAMAGE[case]
+        ann[key] = value
+        (root / "annotations.json").write_text(json.dumps(ann))
+    if case in MANIFEST_DAMAGE or case in HEADER_DAMAGE:
         (root / "manifest.json").write_text(json.dumps(manifest))
     if case.startswith(("imu", "non-numeric")):
         (root / "imu.csv").write_text("\n".join(imu_rows) + "\n")
     return root
+
+
+MANIFEST_DAMAGE = (
+    "manifest-key", "frame-entry-key", "frames-number", "frame-entry-number", "frame-file-number"
+)
 
 
 # what each damage does to load_session's message: the file, and the line where one applies
@@ -218,6 +235,13 @@ LOAD_REFUSALS = {
     "pair-gap-nan": "manifest.json: [bad_pair_gap] pair gap nan is not positive",
     "hand-box-x-null": "annotations.json: hand_boxes['0']: int() argument must be",
     "hand-box-x-text": "annotations.json: hand_boxes['0']: invalid literal for int()",
+    "frames-number": "manifest.json: frames must be a JSON array",
+    "frame-entry-number": "manifest.json: frame entry 1 must be a JSON object",
+    "frame-file-number": "manifest.json: frame entry 1: file must be a string",
+    "segments-number": "annotations.json: segments must be a JSON array",
+    "intervals-number": "annotations.json: proactive_intervals must be a JSON array",
+    "hand-boxes-number": "annotations.json: hand_boxes must be a JSON object",
+    "hand-boxes-array": "annotations.json: hand_boxes must be a JSON object",
 }
 HEADER_DAMAGE = {
     "instruction-null": ("instruction", None),
@@ -227,6 +251,12 @@ HEADER_DAMAGE = {
     "pair-gap-nan": ("pair_gap", math.nan),
 }
 HAND_BOX_DAMAGE = {"hand-box-x-null": None, "hand-box-x-text": "abc"}
+ANNOTATION_DAMAGE = {
+    "segments-number": ("segments", 5),
+    "intervals-number": ("proactive_intervals", 5),
+    "hand-boxes-number": ("hand_boxes", 5),
+    "hand-boxes-array": ("hand_boxes", [1]),
+}
 
 
 @pytest.mark.parametrize("case", LOAD_REFUSALS)
