@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Any
 
 from ..checker import CheckerConfig
+from ..jsontext import fits
 from ..motion import FlowConfig
 from ..perception import KeyMomentConfig, SamplerConfig
 from ..reasoner import OracleConfig
@@ -66,13 +67,6 @@ class PipelineConfig:
         return self
 
 
-def _fits(value: Any, tp: type) -> bool:
-    """An int fits a float field too; a bool fits only a bool field."""
-    if isinstance(value, bool):
-        return tp is bool
-    return isinstance(value, (int, float) if tp is float else tp)
-
-
 def _build(cls: type, obj: Any, path: str) -> Any:
     """Build dataclass ``cls`` from a JSON object; a dict given for a
     dataclass-typed field builds that field, and every other value must fit
@@ -89,7 +83,7 @@ def _build(cls: type, obj: Any, path: str) -> Any:
         tp = types[key]
         if dataclasses.is_dataclass(tp):
             value = _build(tp, value, name)
-        elif not any(_fits(value, t) for t in typing.get_args(tp) or (tp,)):  # X | None
+        elif not any(fits(value, t) for t in typing.get_args(tp) or (tp,)):  # X | None
             want = getattr(tp, "__name__", tp)
             raise ValueError(f"config key {name} must be {want}, got {value!r}")
         kwargs[key] = value

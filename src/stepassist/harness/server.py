@@ -16,10 +16,10 @@ delivered response:
 
     {"type": "assist", "t": T, "step": "...", "status": "...", "text": "..."}
 
-Protocol faults come back as {"type": "error", "code": ..., "detail": ...};
-any other fault in the engine drops the session with code ``internal``.
-session_start goes through load_session's header and annotation codecs and
-rules, so what load_session refuses there is answered with ``bad_stream``.
+Protocol faults come back as {"type": "error", "code": ..., "detail": ...}.
+Fields are read by load_session's rule, ``jsontext.field``, and session_start
+by its codecs and rules: any ValueError is answered ``bad_stream``, and any
+other exception is an engine fault that drops the session as ``internal``.
 Only a protocol version mismatch closes the connection; a client that
 resets or closes its connection just ends its handler. Each connection is
 its own pipeline, so concurrent clients never share state.
@@ -32,6 +32,7 @@ import socketserver
 import threading
 from typing import Any
 
+from ..jsontext import field, fields, fits
 from ..trace.io import annotations_from_obj, header_from_obj
 from ..trace.pgm import read_pgm
 from ..trace.types import FrameRecord, ImuSample, SessionTrace
@@ -40,6 +41,8 @@ from .events import DELIVERY, Event, EventLog, run_counts
 from .pipeline import SessionPipeline
 
 PROTOCOL_VERSION = 1
+IMU_FIELDS = {"t": float, "gx": float, "gy": float, "gz": float}
+FRAME_FIELDS = {"t": float, "pair": int, "slot": str, "data": str}
 
 # error codes: connection survives all of these except protocol_version
 BAD_JSON = "bad_json"
@@ -70,7 +73,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             try:
                 msg = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except ValueError as exc:  # also a number of more digits than int() takes
                 self._send_error(BAD_JSON, f"undecodable line: {exc}")
                 continue
             if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
@@ -78,7 +81,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             try:
                 keep_open = self._dispatch(owner, msg)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 # the stream is no longer trustworthy; drop the session
                 self._drop_session(BAD_STREAM, exc)
                 continue
@@ -119,7 +122,7 @@ class _Handler(socketserver.StreamRequestHandler):
         return True
 
     def _on_session_start(self, owner: "PipelineServer", msg: dict[str, Any]) -> bool:
-        if msg.get("protocol") != PROTOCOL_VERSION:
+        if not (fits(msg.get("protocol"), int) and msg["protocol"] == PROTOCOL_VERSION):
             self._send_error(
                 PROTOCOL_MISMATCH,
                 f"server speaks protocol {PROTOCOL_VERSION}, got {msg.get('protocol')!r}",
@@ -128,6 +131,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if self.engine is not None:
             self._send_error(SESSION_ACTIVE, "finish the open session first")
             return True
+        self.session_id = field(msg, "session_id", str) if "session_id" in msg else ""
         session = SessionTrace(
             **header_from_obj(msg),
             **annotations_from_obj(msg.get("annotations") or {}),
@@ -135,26 +139,15 @@ class _Handler(socketserver.StreamRequestHandler):
             imu=[],
         )
         self.engine = SessionPipeline(owner.cfg, session)
-        self.session_id = str(msg.get("session_id", ""))
         self._send({"type": "ack", "of": "session_start", "session_id": self.session_id})
         return True
 
     def _on_imu(self, msg: dict[str, Any]) -> None:
-        sample = ImuSample(
-            timestamp=float(msg["t"]),
-            gx=float(msg["gx"]),
-            gy=float(msg["gy"]),
-            gz=float(msg["gz"]),
-        )
-        self._push_assists(self.engine.feed_imu(sample))
+        self._push_assists(self.engine.feed_imu(ImuSample(*fields(msg, IMU_FIELDS))))
 
     def _on_frame(self, msg: dict[str, Any]) -> None:
-        frame = FrameRecord(
-            timestamp=float(msg["t"]),
-            pair_id=int(msg["pair"]),
-            slot=msg["slot"],
-            image=read_pgm(base64.b64decode(msg["data"])),
-        )
+        t, pair_id, slot, data = fields(msg, FRAME_FIELDS)
+        frame = FrameRecord(t, pair_id, slot, read_pgm(base64.b64decode(data)))
         events = self.engine.feed_frame(frame)
         if frame.slot == "b":
             self._send({"type": "ack", "of": "pair", "pair": frame.pair_id})

@@ -1,10 +1,50 @@
-"""Pulling a JSON object out of free-form model text."""
+"""Reading JSON values by type, and pulling a JSON object out of model text.
+
+The config, the session files and the wire all read JSON by one rule, ``fits``:
+a value is checked, never converted, and only an integer passes for a float."""
 from __future__ import annotations
 
 import json
 from typing import Any
 
 _DECODER = json.JSONDecoder()
+
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+               list: "a JSON array", dict: "a JSON object"}
+
+
+def fits(value: Any, tp: type) -> bool:
+    """An int fits a float field too; a bool fits only a bool field."""
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def field(obj: dict[str, Any], key: str, tp: type, where: str = "") -> Any:
+    """``obj[key]`` if it fits ``tp``, an integer read for a float as a float. Raises
+    ValueError naming the key (after ``where``, naming ``obj``, if given) if it
+    is missing, does not fit, or overflows a float."""
+    if key not in obj:
+        raise ValueError(f"{where} missing key {key!r}".lstrip())
+    value = obj[key]
+    try:
+        if fits(value, tp):
+            return float(value) if tp is float else value
+    except OverflowError:
+        pass
+    name = f"{where}: {key}" if where else key
+    raise ValueError(f"{name} must be {_JSON_TYPES[tp]}, got {value!r:.40}")
+
+
+def fields(obj: Any, spec: dict[str, type], where: str = "") -> list[Any]:
+    """``field`` of each key of ``spec`` in turn; ``obj`` must be a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    values = []
+    for key, tp in spec.items():  # a loop: cheaper per wire record than a comprehension
+        value = obj.get(key)
+        values.append(value if type(value) is tp else field(obj, key, tp, where))
+    return values
 
 
 def extract_first_json(text: str) -> dict[str, Any]:

@@ -10,7 +10,8 @@ On disk a session is a directory::
 Timestamps are float seconds from session start. ``load_session`` refuses a
 directory that fails validation; ``validate_session`` reports every violation
 it can find instead of stopping at the first. The header and annotation
-codecs serve the wire's ``session_start`` too.
+codecs serve the wire's ``session_start`` too. JSON fields are read by
+``jsontext.field``; only the text cells of ``imu.csv`` are parsed as numbers.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import math
 from pathlib import Path
 from typing import Any
 
+from ..jsontext import field, fields
 from .pgm import read_pgm, write_pgm
 from .types import (
     ExecutionStatus,
@@ -33,6 +35,9 @@ from .types import (
 
 # tolerance on the recorded intra-pair gap
 PAIR_GAP_TOL = 1e-3
+# most seconds a record may follow the last of its stream (or t = 0): one record decides
+# at most MAX_RECORD_GAP / burst_interval scheduled times
+MAX_RECORD_GAP = 60.0
 
 HAND_BOX_FIELDS = {"side": str, "x": int, "y": int, "w": int, "h": int}
 HAND_SIDES = ("left", "right", "unknown")
@@ -107,18 +112,20 @@ class StreamCheck:
                     )
 
     def imu(self, s: ImuSample) -> None:
-        t, last = s.timestamp, self._imu_t
+        add, t, last = self.report.add, s.timestamp, self._imu_t
         self._imu_t = t
         if not (math.isfinite(t) and math.isfinite(s.gx)
                 and math.isfinite(s.gy) and math.isfinite(s.gz)):
-            self.report.add("imu_nonfinite", f"imu sample at t={t} has a non-finite field")
+            add("imu_nonfinite", f"imu sample at t={t} has a non-finite field")
+        if t - (last or 0.0) > MAX_RECORD_GAP:
+            add("record_gap", f"imu sample at t={t} is over {MAX_RECORD_GAP}s after t={last or 0.0}")
         if t < 0:
-            self.report.add("negative_timestamp", f"imu sample at t={t} before session start")
+            add("negative_timestamp", f"imu sample at t={t} before session start")
         if last is None and t > 0:
             # the sampler's schedule starts at t = 0 and needs a sample at or before it
-            self.report.add("imu_start", f"first imu sample at t={t} is after t=0")
+            add("imu_start", f"first imu sample at t={t} is after t=0")
         elif last is not None and t < last:
-            self.report.add("imu_order", f"imu sample at t={t} is out of timestamp order")
+            add("imu_order", f"imu sample at t={t} is out of timestamp order")
 
     def frame(self, fr: FrameRecord) -> None:
         add, t, last = self.report.add, fr.timestamp, self.last_frame_t
@@ -128,6 +135,8 @@ class StreamCheck:
             add("frame_geometry", f"{where} has geometry {fr.image.shape}, not {self._shape}")
         if not math.isfinite(t):
             add("frame_nonfinite", f"{where} has a non-finite timestamp")
+        if t - (last or 0.0) > MAX_RECORD_GAP:
+            add("record_gap", f"{where} is over {MAX_RECORD_GAP}s after t={last or 0.0}")
         if t < 0:
             add("negative_timestamp", f"{where} is before session start")
         if last is not None and t <= last:
@@ -172,13 +181,10 @@ def _load_json(path: Path) -> Any:
         _fail(path, f"invalid JSON ({exc.msg})", line=exc.lineno)
 
 
-def _text(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-HEADER_FIELDS = {"instruction": _text, "width": int, "height": int, "pair_gap": float}
+HEADER_FIELDS = {"instruction": str, "width": int, "height": int, "pair_gap": float}
+FRAME_FIELDS = {"t": float, "pair": int, "slot": str, "file": str}
+SEGMENT_FIELDS = {"start": float, "end": float, "step": str, "status": str}
+INTERVAL_FIELDS = {"start": float, "end": float, "step": str}
 
 
 def header_to_obj(trace: SessionTrace) -> dict[str, Any]:
@@ -189,20 +195,12 @@ def header_to_obj(trace: SessionTrace) -> dict[str, Any]:
 def header_from_obj(obj: Any) -> dict[str, Any]:
     """Inverse of header_to_obj, as SessionTrace keyword arguments.
 
-    Raises SessionFormatError naming the missing or malformed field, e.g.
-    ``width: ...``. Other keys of ``obj`` are ignored.
+    Raises ValueError naming a missing field or one not of its HEADER_FIELDS
+    type, e.g. ``width must be an integer, got 320.9``. Other keys are ignored.
     """
     if not isinstance(obj, dict):
-        raise SessionFormatError("header must be a JSON object")
-    header: dict[str, Any] = {}
-    for key, convert in HEADER_FIELDS.items():
-        if key not in obj:
-            raise SessionFormatError(f"missing key {key!r}")
-        try:
-            header[key] = convert(obj[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SessionFormatError(f"{key}: {exc}") from None
-    return header
+        raise ValueError("header must be a JSON object")
+    return dict(zip(HEADER_FIELDS, fields(obj, HEADER_FIELDS)))
 
 
 def annotations_to_obj(trace: SessionTrace) -> dict[str, Any]:
@@ -221,58 +219,45 @@ def annotations_to_obj(trace: SessionTrace) -> dict[str, Any]:
 
 
 def _entries(obj: dict[str, Any], key: str, kind: type) -> Any:
-    """``obj[key]``, empty when absent or null; SessionFormatError when it is not a ``kind``."""
-    value = obj.get(key)
-    if value is None:
-        return kind()
-    if not isinstance(value, kind):
-        raise SessionFormatError(f"{key} must be a JSON {'array' if kind is list else 'object'}")
-    return value
+    """``obj[key]`` read as a ``kind``, empty when absent or null."""
+    return kind() if obj.get(key) is None else field(obj, key, kind)
 
 
 def annotations_from_obj(obj: Any) -> dict[str, Any]:
     """Inverse of annotations_to_obj, as SessionTrace keyword arguments.
 
-    Each hand box becomes a dict of the HAND_BOX_FIELDS it has, converted to
-    their types; a missing field is left to the ``hand_box_keys`` rule.
-    Raises SessionFormatError naming the malformed entry, e.g. ``segment 2: ...``.
+    Fields are read as ``header_from_obj`` reads them; a ``hand_boxes`` key
+    must be written as annotations_to_obj writes it, and a hand box field
+    that is absent is left to the ``hand_box_keys`` rule. Raises ValueError
+    naming the malformed entry, e.g. ``segment 2: ...``.
     """
     if not isinstance(obj, dict):
-        raise SessionFormatError("annotations must be a JSON object")
+        raise ValueError("annotations must be a JSON object")
     segments: list[StepSegment] = []
     for i, entry in enumerate(_entries(obj, "segments", list)):
+        start, end, step, status = fields(entry, SEGMENT_FIELDS, f"segment {i}")
         try:
-            segments.append(
-                StepSegment(
-                    start=float(entry["start"]),
-                    end=float(entry["end"]),
-                    step=str(entry["step"]),
-                    status=ExecutionStatus.parse(entry["status"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SessionFormatError(f"segment {i}: {exc}") from None
+            segments.append(StepSegment(start, end, step, ExecutionStatus.parse(status)))
+        except ValueError as exc:
+            raise ValueError(f"segment {i}: {exc}") from None
     intervals: list[ProactiveInterval] = []
     for i, entry in enumerate(_entries(obj, "proactive_intervals", list)):
+        start, end, step = fields(entry, INTERVAL_FIELDS, f"proactive interval {i}")
         try:
-            intervals.append(
-                ProactiveInterval(
-                    start=float(entry["start"]),
-                    end=float(entry["end"]),
-                    step=str(entry["step"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SessionFormatError(f"proactive interval {i}: {exc}") from None
+            intervals.append(ProactiveInterval(start, end, step))
+        except ValueError as exc:
+            raise ValueError(f"proactive interval {i}: {exc}") from None
     hand_boxes: dict[int, list[dict[str, Any]]] = {}
     for key, boxes in _entries(obj, "hand_boxes", dict).items():
-        try:
-            hand_boxes[int(key)] = [
-                {k: convert(box[k]) for k, convert in HAND_BOX_FIELDS.items() if k in box}
-                for box in boxes
-            ]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SessionFormatError(f"hand_boxes[{key!r}]: {exc}") from None
+        where = f"hand_boxes[{key!r}]"
+        if not (key.isascii() and key.removeprefix("-").isdigit() and str(pid := int(key)) == key):
+            raise ValueError(f"{where}: the key is not a pair id")
+        if not (isinstance(boxes, list) and all(isinstance(box, dict) for box in boxes)):
+            raise ValueError(f"{where} must be a JSON array of JSON objects")
+        hand_boxes[pid] = [
+            {k: field(box, k, tp, where) for k, tp in HAND_BOX_FIELDS.items() if k in box}
+            for box in boxes
+        ]
     return {"segments": segments, "proactive_intervals": intervals, "hand_boxes": hand_boxes}
 
 
@@ -291,27 +276,21 @@ def load_session(path: str | Path) -> SessionTrace:
     manifest = _load_json(manifest_path)
     try:
         header = header_from_obj(manifest)
-    except SessionFormatError as exc:
+        entries = field(manifest, "frames", list)
+    except ValueError as exc:
         _fail(manifest_path, str(exc))
     # a header that breaks a session rule is refused by name, before any frame is read
     bare = SessionTrace(**header, frames=[], imu=[], segments=[], proactive_intervals=[])
     if not (report := StreamCheck(bare, ValidationReport()).report).ok:
         _fail(manifest_path, str(report))
-    if "frames" not in manifest:
-        _fail(manifest_path, "missing key 'frames'")
-    if not isinstance(manifest["frames"], list):
-        _fail(manifest_path, "frames must be a JSON array")
 
     frames: list[FrameRecord] = []
-    for i, entry in enumerate(manifest["frames"]):
-        if not isinstance(entry, dict):
-            _fail(manifest_path, f"frame entry {i} must be a JSON object")
-        for key in ("t", "pair", "slot", "file"):
-            if key not in entry:
-                _fail(manifest_path, f"frame entry {i} missing key {key!r}")
-        if not isinstance(entry["file"], str):
-            _fail(manifest_path, f"frame entry {i}: file must be a string")
-        frame_path = root / entry["file"]
+    for i, entry in enumerate(entries):
+        try:
+            t, pair_id, slot, file = fields(entry, FRAME_FIELDS, f"frame entry {i}")
+        except ValueError as exc:
+            _fail(manifest_path, str(exc))
+        frame_path = root / file
         if not frame_path.is_file():
             _fail(frame_path, "missing file")
         try:
@@ -319,15 +298,8 @@ def load_session(path: str | Path) -> SessionTrace:
         except ValueError as exc:
             _fail(frame_path, str(exc))
         try:
-            frames.append(
-                FrameRecord(
-                    timestamp=float(entry["t"]),
-                    pair_id=int(entry["pair"]),
-                    slot=str(entry["slot"]),
-                    image=image,
-                )
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            frames.append(FrameRecord(t, pair_id, slot, image))
+        except ValueError as exc:
             _fail(manifest_path, f"frame entry {i}: {exc}")
 
     imu_path = root / "imu.csv"
@@ -352,9 +324,10 @@ def load_session(path: str | Path) -> SessionTrace:
             imu.append(ImuSample(t, gx, gy, gz))
 
     ann_path = root / "annotations.json"
+    ann = _load_json(ann_path)
     try:
-        annotations = annotations_from_obj(_load_json(ann_path))
-    except SessionFormatError as exc:
+        annotations = annotations_from_obj(ann)
+    except ValueError as exc:
         _fail(ann_path, str(exc))
 
     trace = SessionTrace(

@@ -295,6 +295,14 @@ def test_engine_refuses_what_validation_refuses(frames, imu, kind):
     assert str(err.value) == next(v.message for v in report.violations if v.kind == kind)
 
 
+def test_a_record_far_past_the_last_is_refused_before_the_schedule_runs_to_it():
+    engine = SessionPipeline(fixture_config(), small_session([], []))
+    engine.feed_imu(ImuSample(0.0, 0.1, 0, 0))
+    with pytest.raises(ValueError, match="over 60.0s after t=0.0"):
+        engine.feed_imu(ImuSample(20000.0, 0.1, 0, 0))
+    assert len(engine.decided) <= 1
+
+
 def test_a_second_slot_a_is_refused_at_once():
     engine = SessionPipeline(fixture_config(), small_session([], []))
     fed = 0

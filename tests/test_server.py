@@ -210,6 +210,14 @@ def test_garbage_line_keeps_the_connection(server):
         assert recv()["of"] == "session_start"
 
 
+def test_a_number_too_long_to_decode_keeps_the_connection(server):
+    with raw_client(server) as (send, recv):
+        send(b'{"type": "imu", "t": ' + b"1" * 5000 + b"}")
+        assert recv()["code"] == "bad_json"
+        send(start_message())
+        assert recv()["of"] == "session_start"
+
+
 def test_untyped_and_unknown_messages_are_rejected(server):
     with raw_client(server) as (send, recv):
         send({"no_type": 1})
@@ -225,6 +233,14 @@ def test_records_before_session_start_are_rejected(server):
         assert recv()["code"] == "no_session"
         send(start_message())
         assert recv()["of"] == "session_start"
+
+
+@pytest.mark.parametrize("protocol", [True, 1.0])
+def test_a_protocol_of_another_json_type_is_a_mismatch(server, protocol):
+    with raw_client(server) as (send, recv):
+        send(start_message(protocol=protocol))
+        assert recv()["code"] == "protocol_version"
+        assert recv() is None
 
 
 def test_protocol_mismatch_closes_the_connection(server):
@@ -430,6 +446,39 @@ def test_numbers_that_overflow_are_stream_faults(server, record):
         assert recv()["of"] == "session_start"
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"type": "imu", "t": "1.0", "gx": 0.0, "gy": 0.0, "gz": 0.0},
+        {"type": "frame", "t": 0.0, "pair": True, "slot": "a", "data": PGM_8X8},
+        {"type": "frame", "t": 0.0, "pair": 2.5, "slot": "a", "data": PGM_8X8},
+    ],
+    ids=["imu-time-text", "pair-bool", "pair-fraction"],
+)
+def test_a_record_field_of_the_wrong_json_type_is_a_stream_fault(server, record):
+    with raw_client(server) as (send, recv):
+        send(start_message())
+        assert recv()["of"] == "session_start"
+        send({"type": "imu", "t": 0.0, "gx": 0.0, "gy": 0.0, "gz": 0.0})
+        send(record)
+        send(start_message())  # refused as session_active if the record were taken
+        err = recv()
+        assert err["code"] == "bad_stream" and "must be a" in err["detail"]
+        assert recv()["of"] == "session_start"
+
+
+def test_a_record_far_past_the_last_is_a_stream_fault(server):
+    with raw_client(server) as (send, recv):
+        send(start_message())
+        assert recv()["of"] == "session_start"
+        send({"type": "imu", "t": 0.0, "gx": 0.0, "gy": 0.0, "gz": 0.0})
+        send({"type": "imu", "t": 1e9, "gx": 0.0, "gy": 0.0, "gz": 0.0})
+        err = recv()
+        assert err["code"] == "bad_stream" and "over 60.0s after t=0.0" in err["detail"]
+        send(start_message())
+        assert recv()["of"] == "session_start"
+
+
 def test_malformed_annotation_segment_is_a_stream_fault(server):
     bad = dict(SEGMENT_ANN, segments=[dict(SEGMENT_ANN["segments"][0], status="half_done")])
     with raw_client(server) as (send, recv):
@@ -445,8 +494,11 @@ def test_malformed_annotation_segment_is_a_stream_fault(server):
 @pytest.mark.parametrize(
     "overrides, detail",
     [
-        ({"instruction": None}, "instruction: expected a string"),
-        ({"width": "abc"}, "width: invalid literal"),
+        ({"instruction": None}, "instruction must be a string, got None"),
+        ({"width": "abc"}, "width must be an integer, got 'abc'"),
+        ({"width": 320.9}, "width must be an integer, got 320.9"),
+        ({"height": True}, "height must be an integer, got True"),
+        ({"pair_gap": "0.1"}, "pair_gap must be a number, got '0.1'"),
         ({"annotations": dict(SEGMENT_ANN, hand_boxes={"0": [
             {"side": "left", "x": "abc", "y": 0, "w": 4, "h": 4}]})}, "hand_boxes['0']:"),
         ({"annotations": dict(SEGMENT_ANN, segments=5)}, "segments must be a JSON array"),
@@ -455,7 +507,8 @@ def test_malformed_annotation_segment_is_a_stream_fault(server):
         ({"annotations": dict(SEGMENT_ANN, hand_boxes=5)}, "hand_boxes must be a JSON object"),
         ({"annotations": dict(SEGMENT_ANN, hand_boxes=[1])}, "hand_boxes must be a JSON object"),
     ],
-    ids=["instruction-null", "width-text", "hand-box-x-text", "segments-number",
+    ids=["instruction-null", "width-text", "width-fraction", "height-bool", "pair-gap-text",
+         "hand-box-x-text", "segments-number",
          "intervals-number", "hand-boxes-number", "hand-boxes-array"],
 )
 def test_a_header_field_that_does_not_convert_is_a_stream_fault(server, overrides, detail):
@@ -485,26 +538,28 @@ def test_oracle_sessions_need_annotations(server):
 
 
 def test_engine_fault_drops_the_session_and_keeps_the_socket(server, monkeypatch):
-    def broken_detector(frame, detector):
-        raise HandDetectionError("detector crashed")
-
-    monkeypatch.setattr(pipeline_module, "detect_hands", broken_detector)
     pgm = base64.b64encode(write_pgm(np.zeros((8, 8), dtype=np.uint8))).decode()
-    with raw_client(server) as (send, recv):
-        send(start_message())
-        assert recv()["of"] == "session_start"
-        send({"type": "imu", "t": 0.0, "gx": 0.0, "gy": 0.0, "gz": 0.0})
-        send({"type": "frame", "t": 0.0, "pair": 0, "slot": "a", "data": pgm})
-        send({"type": "frame", "t": 0.1, "pair": 0, "slot": "b", "data": pgm})
-        assert recv() == {"type": "ack", "of": "pair", "pair": 0}
-        send({"type": "session_end"})  # resolving pair 0 runs the detector
-        err = recv()
-        assert err["code"] == INTERNAL and "detector crashed" in err["detail"]
-        send({"type": "imu", "t": 0.2, "gx": 0.0, "gy": 0.0, "gz": 0.0})
-        assert recv()["code"] == "no_session"
-        send(start_message(session_id="second"))
-        ack = recv()
-        assert ack["of"] == "session_start" and ack["session_id"] == "second"
+    # a TypeError inside the engine is an engine fault too, not a malformed stream
+    for fault in (HandDetectionError("detector crashed"), TypeError("detector crashed")):
+        def broken_detector(frame, detector):
+            raise fault
+
+        monkeypatch.setattr(pipeline_module, "detect_hands", broken_detector)
+        with raw_client(server) as (send, recv):
+            send(start_message())
+            assert recv()["of"] == "session_start"
+            send({"type": "imu", "t": 0.0, "gx": 0.0, "gy": 0.0, "gz": 0.0})
+            send({"type": "frame", "t": 0.0, "pair": 0, "slot": "a", "data": pgm})
+            send({"type": "frame", "t": 0.1, "pair": 0, "slot": "b", "data": pgm})
+            assert recv() == {"type": "ack", "of": "pair", "pair": 0}
+            send({"type": "session_end"})  # resolving pair 0 runs the detector
+            err = recv()
+            assert err["code"] == INTERNAL and "detector crashed" in err["detail"]
+            send({"type": "imu", "t": 0.2, "gx": 0.0, "gy": 0.0, "gz": 0.0})
+            assert recv()["code"] == "no_session"
+            send(start_message(session_id="second"))
+            ack = recv()
+            assert ack["of"] == "session_start" and ack["session_id"] == "second"
 
 
 def assert_each_moment_dropped(reasoner: ReasonerSpec):

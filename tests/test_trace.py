@@ -200,6 +200,10 @@ def damage(root, case):
         ann = json.loads((root / "annotations.json").read_text())
         ann["hand_boxes"]["0"][0]["x"] = HAND_BOX_DAMAGE[case]
         (root / "annotations.json").write_text(json.dumps(ann))
+    elif case == "hand-box-key-space":
+        ann = json.loads((root / "annotations.json").read_text())
+        ann["hand_boxes"][" 0"] = ann["hand_boxes"].pop("0")
+        (root / "annotations.json").write_text(json.dumps(ann))
     elif case in ANNOTATION_DAMAGE:
         ann = json.loads((root / "annotations.json").read_text())
         key, value = ANNOTATION_DAMAGE[case]
@@ -228,13 +232,18 @@ LOAD_REFUSALS = {
     "imu-row-fields": "imu.csv:3: expected 4 fields, got 3",
     "non-numeric-field": "imu.csv:3: non-numeric field",
     "annotations-not-object": "annotations.json: annotations must be a JSON object",
-    "instruction-null": "manifest.json: instruction: expected a string, got None",
-    "width-text": "manifest.json: width: invalid literal for int()",
-    "width-null": "manifest.json: width: int() argument must be",
-    "pair-gap-text": "manifest.json: pair_gap: could not convert string to float",
+    "instruction-null": "manifest.json: instruction must be a string, got None",
+    "width-text": "manifest.json: width must be an integer, got 'abc'",
+    "width-null": "manifest.json: width must be an integer, got None",
+    "width-fraction": "manifest.json: width must be an integer, got 320.9",
+    "height-bool": "manifest.json: height must be an integer, got True",
+    "pair-gap-text": "manifest.json: pair_gap must be a number, got 'x'",
+    "pair-gap-number-text": "manifest.json: pair_gap must be a number, got '0.1'",
     "pair-gap-nan": "manifest.json: [bad_pair_gap] pair gap nan is not positive",
-    "hand-box-x-null": "annotations.json: hand_boxes['0']: int() argument must be",
-    "hand-box-x-text": "annotations.json: hand_boxes['0']: invalid literal for int()",
+    "hand-box-x-null": "annotations.json: hand_boxes['0']: x must be an integer, got None",
+    "hand-box-x-text": "annotations.json: hand_boxes['0']: x must be an integer, got 'abc'",
+    "hand-box-x-fraction": "annotations.json: hand_boxes['0']: x must be an integer, got 1.9",
+    "hand-box-key-space": "annotations.json: hand_boxes[' 0']: the key is not a pair id",
     "frames-number": "manifest.json: frames must be a JSON array",
     "frame-entry-number": "manifest.json: frame entry 1 must be a JSON object",
     "frame-file-number": "manifest.json: frame entry 1: file must be a string",
@@ -247,10 +256,13 @@ HEADER_DAMAGE = {
     "instruction-null": ("instruction", None),
     "width-text": ("width", "abc"),
     "width-null": ("width", None),
+    "width-fraction": ("width", 320.9),
+    "height-bool": ("height", True),
     "pair-gap-text": ("pair_gap", "x"),
+    "pair-gap-number-text": ("pair_gap", "0.1"),
     "pair-gap-nan": ("pair_gap", math.nan),
 }
-HAND_BOX_DAMAGE = {"hand-box-x-null": None, "hand-box-x-text": "abc"}
+HAND_BOX_DAMAGE = {"hand-box-x-null": None, "hand-box-x-text": "abc", "hand-box-x-fraction": 1.9}
 ANNOTATION_DAMAGE = {
     "segments-number": ("segments", 5),
     "intervals-number": ("proactive_intervals", 5),
@@ -367,6 +379,18 @@ def test_imu_problems_flagged():
     tr = valid_trace()
     tr.imu = [dataclasses.replace(s, timestamp=s.timestamp + 0.01) for s in tr.imu]
     assert kinds(tr) == {"imu_start"}
+
+
+def test_record_gap_flagged():
+    # a record may follow the last of its stream, or t = 0, by at most a minute
+    tr = valid_trace()
+    tr.imu.append(ImuSample(tr.imu[-1].timestamp + 60.5, 0.0, 0.0, 0.0))
+    assert kinds(tr) == {"record_gap"}
+
+    tr = valid_trace()
+    f = tr.frames[0]
+    tr.frames[0] = FrameRecord(60.5, f.pair_id, f.slot, f.image)
+    assert "record_gap" in kinds(tr)
 
 
 def test_segment_overlap_names_both_segments():
