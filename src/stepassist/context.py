@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .httpchat import chat_complete
-from .jsontext import extract_first_json
+from .jsontext import extract_first_json, field, fields, fits
 from .motion import FlowSummary
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -276,19 +276,19 @@ class RemoteStructurer:
         )
         try:
             obj = extract_first_json(reply)
-            steps = tuple(
-                GuidelineStep(
-                    id=int(s["id"]),
-                    title=str(s["title"]),
-                    details=str(s.get("details", "")),
-                    prerequisites=tuple(int(p) for p in s.get("prerequisites", [])),
-                )
-                for s in obj["steps"]
-            )
-            guideline = StructuredGuideline(task=str(obj["task"]), steps=steps)
-        except (KeyError, TypeError, ValueError) as exc:
+            task, entries = fields(obj, {"task": str, "steps": list}, "reply")
+            steps = []
+            for i, entry in enumerate(entries):
+                where = f"step {i}"
+                step_id, title = fields(entry, {"id": int, "title": str}, where)
+                prereqs = field(entry, "prerequisites", list, where, [])
+                if not all(fits(p, int) for p in prereqs):
+                    raise ValueError(f"{where}: prerequisites must be integers")
+                details = field(entry, "details", str, where, "")
+                steps.append(GuidelineStep(step_id, title, details, tuple(prereqs)))
+        except ValueError as exc:
             raise GuidelineFormatError(f"structurer reply malformed: {exc}") from exc
-        return validate_guideline(guideline)
+        return validate_guideline(StructuredGuideline(task, tuple(steps)))
 
 
 def direction_name(dx: float, dy: float, stationary_threshold: float) -> str:
@@ -335,7 +335,7 @@ def textualize_motion(
 class ProgressRecord:
     """Ordered, duplicate-free list of completed step titles."""
 
-    completed: tuple[str, ...] = field(default=())
+    completed: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if len(set(self.completed)) != len(self.completed):

@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from ..context import GuidelineCorpus, ScriptedStructurer, retrieve_guideline
+from ..jsontext import loads
 from ..metrics import compute_metrics
 from ..trace.io import load_session, write_session
 from ..trace.synthetic import generate_synthetic, standard_script
@@ -54,7 +54,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """The ``--config`` file (if any) with every given flag laid over it."""
     obj: dict = {}
     if args.config:
-        obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        obj = loads(Path(args.config).read_text(encoding="utf-8"))
     for _, path, _ in _CONFIG_FLAGS:
         value = getattr(args, path)
         if value is not None:
@@ -121,7 +121,7 @@ def _cmd_send(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    log, _ = load_report(args.report)
+    log = load_report(args.report)
     trace = load_session(args.session)
     metrics = compute_metrics(log, trace)
     print(format_metrics(metrics))
@@ -184,7 +184,11 @@ def main(argv: list[str] | None = None) -> int:
     q.set_defaults(func=_cmd_retrieve)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # an input fault, as on the wire; others keep their traceback
+        print(f"stepassist: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,12 +32,12 @@ class Event:
 
 
 class EventLog:
-    """Ordered event collection with JSON round-tripping."""
+    """Ordered event collection; ``harness.report.load_report`` reads one back."""
 
     def __init__(self) -> None:
         self.events: list[Event] = []
 
-    def append(self, kind: str, t: float, **data: Any) -> Event:
+    def append(self, kind: str, t: float, /, **data: Any) -> Event:
         if self.events and t < self.events[-1].t:
             raise ValueError(
                 f"event timestamps must be non-decreasing: {t} after {self.events[-1].t}"
@@ -57,13 +57,6 @@ class EventLog:
 
     def to_obj(self) -> list[dict[str, Any]]:
         return [{"kind": ev.kind, "t": ev.t, "data": ev.data} for ev in self.events]
-
-    @classmethod
-    def from_obj(cls, obj: list[dict[str, Any]]) -> "EventLog":
-        log = cls()
-        for entry in obj:
-            log.append(entry["kind"], entry["t"], **entry.get("data", {}))
-        return log
 
     def dumps(self) -> str:
         """Canonical serialization; equal logs serialize to equal strings."""

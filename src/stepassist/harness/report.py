@@ -5,6 +5,7 @@ import csv
 import json
 from pathlib import Path
 
+from ..jsontext import fields, loads
 from ..metrics import METRIC_NAMES, MetricsReport
 from .events import EventLog
 
@@ -43,15 +44,21 @@ def write_report(log: EventLog, metrics: MetricsReport, out_dir: str | Path) -> 
     return root / REPORT_FILE
 
 
-def load_report(path: str | Path) -> tuple[EventLog, MetricsReport]:
-    """Read back a report.json (or the directory holding one)."""
+def load_report(path: str | Path) -> EventLog:
+    """The event log of a report.json (or its directory), each event read by
+    ``jsontext.field``; ``eval`` recomputes the metrics, so they are not read."""
     p = Path(path)
     if p.is_dir():
         p = p / REPORT_FILE
-    payload = json.loads(p.read_text(encoding="utf-8"))
-    log = EventLog.from_obj(payload["events"])
-    metrics = MetricsReport.from_dict(payload)
-    return log, metrics
+    log = EventLog()
+    try:
+        (events,) = fields(loads(p.read_text(encoding="utf-8")), {"events": list}, "report")
+        for i, entry in enumerate(events):
+            kind, t, data = fields(entry, {"kind": str, "t": float, "data": dict}, f"event {i}")
+            log.append(kind, t, **data)
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
+    return log
 
 
 def format_metrics(metrics: MetricsReport) -> str:

@@ -73,7 +73,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             try:
                 msg = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # also a number of more digits than int() takes
+            except (ValueError, RecursionError) as exc:  # also too many digits or too deep
                 self._send_error(BAD_JSON, f"undecodable line: {exc}")
                 continue
             if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
@@ -131,10 +131,10 @@ class _Handler(socketserver.StreamRequestHandler):
         if self.engine is not None:
             self._send_error(SESSION_ACTIVE, "finish the open session first")
             return True
-        self.session_id = field(msg, "session_id", str) if "session_id" in msg else ""
+        self.session_id = field(msg, "session_id", str, default="")
         session = SessionTrace(
             **header_from_obj(msg),
-            **annotations_from_obj(msg.get("annotations") or {}),
+            **annotations_from_obj(field(msg, "annotations", dict, default={})),
             frames=[],
             imu=[],
         )

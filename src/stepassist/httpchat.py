@@ -6,6 +6,8 @@ import json
 import urllib.request
 from typing import Any, Sequence
 
+from .jsontext import fields, loads
+
 
 class ChatEndpointError(RuntimeError):
     """Transport or protocol failure talking to a chat-completion endpoint."""
@@ -21,7 +23,7 @@ def chat_complete(
 
     Accepts both the nested chat-completion reply shape
     (choices[0].message.content) and a flat {"content": ...} shape, so small
-    local mock endpoints stay trivial.
+    local mock endpoints stay trivial. The content must be a JSON string.
     """
     payload: dict[str, Any] = {"messages": list(messages)}
     if model is not None:
@@ -34,19 +36,17 @@ def chat_complete(
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read().decode("utf-8")
+            body = response.read()
     except (OSError, http.client.HTTPException) as exc:
         # URLError, a read timeout and a dropped connection are all OSErrors
         raise ChatEndpointError(f"chat endpoint {endpoint} unreachable: {exc}") from exc
     try:
-        reply = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ChatEndpointError(f"chat endpoint {endpoint} returned non-JSON") from exc
-    try:
-        if "choices" in reply:
-            return str(reply["choices"][0]["message"]["content"])
-        return str(reply["content"])
-    except (KeyError, IndexError, TypeError) as exc:
+        reply = loads(body.decode("utf-8"))
+        if isinstance(reply, dict) and "choices" in reply:
+            (choices,) = fields(reply, {"choices": list}, "reply")
+            (reply,) = fields(choices[0] if choices else None, {"message": dict}, "choices[0]")
+        return fields(reply, {"content": str}, "reply")[0]
+    except ValueError as exc:
         raise ChatEndpointError(
-            f"chat endpoint {endpoint} reply missing message content"
+            f"chat endpoint {endpoint} returned non-JSON or a malformed reply: {exc}"
         ) from exc

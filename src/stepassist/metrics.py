@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .harness.events import DELIVERY, REASONED, SAMPLED_PAIR, EventLog
+from .jsontext import fields
+from .reasoner import VERDICT_FIELDS
 from .trace.types import ExecutionStatus, ProactiveInterval, SessionTrace
 
 
@@ -34,13 +36,15 @@ class MomentRecord:
 
 
 def align(log: EventLog, trace: SessionTrace) -> list[MomentRecord]:
-    """Join reasoned events with segments, intervals, and delivery outcomes."""
+    """Join reasoned events (read by ``jsontext.field``) with segments, intervals, outcomes."""
     delivered_at = {
-        ev.t for ev in log.of_kind(DELIVERY) if ev.data.get("deliver")
+        ev.t for ev in log.of_kind(DELIVERY)
+        if fields(ev.data, {"deliver": bool}, f"delivery event at t={ev.t}")[0]
     }
     records: list[MomentRecord] = []
     for ev in log.of_kind(REASONED):
         t = ev.t
+        step, status, proactive = fields(ev.data, VERDICT_FIELDS, f"reasoned event at t={t}")
         seg = trace.segment_at(t)
         need = trace.need_at(t)
         # equal intervals contain the same t, so index() finds the first container
@@ -48,9 +52,9 @@ def align(log: EventLog, trace: SessionTrace) -> list[MomentRecord]:
         records.append(
             MomentRecord(
                 timestamp=t,
-                pred_step=ev.data["step"],
-                pred_status=ExecutionStatus.parse(ev.data["status"]),
-                pred_proactive=bool(ev.data["proactive"]),
+                pred_step=step,
+                pred_status=ExecutionStatus.parse(status),
+                pred_proactive=proactive,
                 delivered=t in delivered_at,
                 gt_step=seg.step if seg else None,
                 gt_status=seg.status if seg else None,
@@ -223,14 +227,6 @@ class MetricsReport:
             "metrics": {name: getattr(self, name) for name in self.METRIC_NAMES},
             "counts": dict(self.counts),
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict[str, object]) -> "MetricsReport":
-        metrics = dict(obj["metrics"])  # type: ignore[arg-type]
-        return cls(
-            **{name: metrics.get(name) for name in cls.METRIC_NAMES},
-            counts=dict(obj.get("counts", {})),  # type: ignore[arg-type]
-        )
 
 
 METRIC_NAMES = MetricsReport.METRIC_NAMES

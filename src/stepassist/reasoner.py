@@ -6,7 +6,7 @@ step, its execution status, and whether to speak up. Two interchangeable
 backends: a scripted oracle that reads ground truth (optionally corrupted at
 seeded rates, for controlled evaluation) and a remote chat-completion client.
 
-A reply that does not parse raises ReasonerOutputError, the one reply error;
+A reply that does not parse or mistypes a field raises ReasonerOutputError;
 the remote client retries once on it and then returns MalformedOutput. A
 transport failure is httpchat's ChatEndpointError, raised through unchanged.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Protocol, Sequence, Union
 
 from .httpchat import chat_complete
-from .jsontext import extract_first_json
+from .jsontext import extract_first_json, field, fields
 from .trace.pgm import write_pgm
 from .trace.types import (
     ExecutionStatus,
@@ -91,7 +91,7 @@ class ReasonerOutput:
 
     def __post_init__(self) -> None:
         if self.proactive and not (self.response and self.response.strip()):
-            raise ValueError("proactive output must carry a response")
+            raise ValueError("proactive output carries no response text")
 
 
 @dataclass(frozen=True)
@@ -126,44 +126,29 @@ class ReasonerOutputError(ValueError):
     """A model reply that does not parse into a ReasonerOutput."""
 
 
+# a reply's verdict, also as a reasoned event carries it
+VERDICT_FIELDS = {"step": str, "status": str, "proactive": bool}
+
+
 def parse_output(text: str) -> ReasonerOutput:
     """Parse a model reply into a ReasonerOutput.
 
     The first JSON object in the text that parses is used; surrounding
-    prose is tolerated. Every failure raises ReasonerOutputError, whose
-    message names what was wrong, so callers can log and retry.
+    prose is tolerated. Its fields are read by ``jsontext.field``, never
+    converted: ``response`` and ``reasoning`` must be strings or null. Every
+    failure raises ReasonerOutputError, whose message names what was wrong,
+    so callers can log and retry.
     """
     try:
         obj = extract_first_json(text)
+        step, status, proactive = fields(obj, VERDICT_FIELDS, "reply")
+        if not step.strip():
+            raise ValueError("reply lacks a step title")
+        return ReasonerOutput(step, ExecutionStatus.parse(status), proactive,
+                              field(obj, "response", str, "reply", None),
+                              field(obj, "reasoning", str, "reply", None))
     except ValueError as exc:
         raise ReasonerOutputError(str(exc)) from None
-
-    if "step" not in obj or not isinstance(obj["step"], str) or not obj["step"].strip():
-        raise ReasonerOutputError("reply lacks a step title")
-    if "status" not in obj:
-        raise ReasonerOutputError("reply lacks a status")
-    try:
-        status = ExecutionStatus.parse(str(obj["status"]))
-    except ValueError as exc:
-        raise ReasonerOutputError(str(exc)) from None
-    if "proactive" not in obj or not isinstance(obj["proactive"], bool):
-        raise ReasonerOutputError("reply lacks a boolean proactive flag")
-    proactive = obj["proactive"]
-    response = obj.get("response")
-    if response is not None and not isinstance(response, str):
-        raise ReasonerOutputError("response must be a string")
-    if proactive and not (response and response.strip()):
-        raise ReasonerOutputError("proactive reply carries no response text")
-    reasoning = obj.get("reasoning")
-    if reasoning is not None:
-        reasoning = str(reasoning)
-    return ReasonerOutput(
-        step=obj["step"],
-        status=status,
-        proactive=proactive,
-        response=response,
-        reasoning=reasoning,
-    )
 
 
 def flag_off_guideline(out: ReasonerOutput, step_titles: Sequence[str]) -> ReasonerOutput:

@@ -21,7 +21,7 @@ import math
 from pathlib import Path
 from typing import Any
 
-from ..jsontext import field, fields
+from ..jsontext import field, fields, loads
 from .pgm import read_pgm, write_pgm
 from .types import (
     ExecutionStatus,
@@ -176,9 +176,11 @@ def _load_json(path: Path) -> Any:
     if not path.is_file():
         _fail(path, "missing file")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         _fail(path, f"invalid JSON ({exc.msg})", line=exc.lineno)
+    except ValueError as exc:  # too deep, or a number too long to decode
+        _fail(path, f"invalid JSON ({exc})")
 
 
 HEADER_FIELDS = {"instruction": str, "width": int, "height": int, "pair_gap": float}
@@ -218,11 +220,6 @@ def annotations_to_obj(trace: SessionTrace) -> dict[str, Any]:
     }
 
 
-def _entries(obj: dict[str, Any], key: str, kind: type) -> Any:
-    """``obj[key]`` read as a ``kind``, empty when absent or null."""
-    return kind() if obj.get(key) is None else field(obj, key, kind)
-
-
 def annotations_from_obj(obj: Any) -> dict[str, Any]:
     """Inverse of annotations_to_obj, as SessionTrace keyword arguments.
 
@@ -234,21 +231,21 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
     if not isinstance(obj, dict):
         raise ValueError("annotations must be a JSON object")
     segments: list[StepSegment] = []
-    for i, entry in enumerate(_entries(obj, "segments", list)):
+    for i, entry in enumerate(field(obj, "segments", list, default=[])):
         start, end, step, status = fields(entry, SEGMENT_FIELDS, f"segment {i}")
         try:
             segments.append(StepSegment(start, end, step, ExecutionStatus.parse(status)))
         except ValueError as exc:
             raise ValueError(f"segment {i}: {exc}") from None
     intervals: list[ProactiveInterval] = []
-    for i, entry in enumerate(_entries(obj, "proactive_intervals", list)):
+    for i, entry in enumerate(field(obj, "proactive_intervals", list, default=[])):
         start, end, step = fields(entry, INTERVAL_FIELDS, f"proactive interval {i}")
         try:
             intervals.append(ProactiveInterval(start, end, step))
         except ValueError as exc:
             raise ValueError(f"proactive interval {i}: {exc}") from None
     hand_boxes: dict[int, list[dict[str, Any]]] = {}
-    for key, boxes in _entries(obj, "hand_boxes", dict).items():
+    for key, boxes in field(obj, "hand_boxes", dict, default={}).items():
         where = f"hand_boxes[{key!r}]"
         if not (key.isascii() and key.removeprefix("-").isdigit() and str(pid := int(key)) == key):
             raise ValueError(f"{where}: the key is not a pair id")
@@ -277,6 +274,7 @@ def load_session(path: str | Path) -> SessionTrace:
     try:
         header = header_from_obj(manifest)
         entries = field(manifest, "frames", list)
+        doc_id = field(manifest, "guideline_doc_id", str, default=None)
     except ValueError as exc:
         _fail(manifest_path, str(exc))
     # a header that breaks a session rule is refused by name, before any frame is read
@@ -335,7 +333,7 @@ def load_session(path: str | Path) -> SessionTrace:
         **annotations,
         frames=frames,
         imu=imu,
-        guideline_doc_id=manifest.get("guideline_doc_id"),
+        guideline_doc_id=doc_id,
     )
     report = validate_session(trace)
     if not report.ok:

@@ -4,11 +4,18 @@
 without the engine, so tests can check the engine's causal, windowed
 schedule against it. ``inferred_step_sequence`` reads the checker's step
 story from its state, and ``steady_script`` is a synthetic session with
-steady 1 Hz key moments for noisy-reasoner experiments.
+steady 1 Hz key moments for noisy-reasoner experiments. ``json_values`` and
+``or_any`` draw the outside JSON that the reply readers must check, and
+``too_deep`` and ``with_too_deep`` write nesting past the decoder's recursion
+limit.
 """
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass
+
+from hypothesis import strategies as st
 
 from stepassist.checker import CheckerState
 from stepassist.perception import (
@@ -110,3 +117,33 @@ def steady_script(seed: int = 0) -> SyntheticScript:
         guideline_doc_id=None,
         seed=seed,
     )
+
+
+# any JSON value, nested a little
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def or_any(valid):
+    """A value drawn from ``valid``, or any JSON value in its place."""
+    return valid | json_values
+
+
+def too_deep() -> str:
+    """A JSON array nested past the decoder's recursion limit."""
+    depth = 2 * sys.getrecursionlimit()
+    return "[" * depth + "]" * depth
+
+
+def with_too_deep(obj: dict, key: str) -> str:
+    """``obj`` as JSON text with ``obj[key]`` nested past the decoder's recursion limit."""
+    marker = "\0deep\0"
+    return json.dumps({**obj, key: marker}).replace(json.dumps(marker), too_deep())
+
+
+def same(a, b) -> bool:
+    """Equal and of one type, so 1, 1.0 and True are told apart."""
+    return type(a) is type(b) and a == b

@@ -1,7 +1,11 @@
+import json
 import math
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stepassist.context import (
     DIRECTIONS,
@@ -9,6 +13,7 @@ from stepassist.context import (
     GuidelineFormatError,
     GuidelineStep,
     ProgressRecord,
+    RemoteStructurer,
     ScriptedStructurer,
     StructuredGuideline,
     direction_name,
@@ -20,6 +25,7 @@ from stepassist.context import (
 from stepassist.motion import FlowSummary
 
 from conftest import CORPUS_DOCS
+from oracles import or_any, same, with_too_deep
 
 
 # Reference scorer, independent of the module under test: raw term counts
@@ -171,6 +177,77 @@ def test_validate_guideline_rejects_cycles():
         validate_guideline(guideline(steps))
     with pytest.raises(GuidelineFormatError, match="cyclic"):
         validate_guideline(guideline([GuidelineStep(id=1, title="Self", prerequisites=(1,))]))
+
+
+def structure_reply(text):
+    """RemoteStructurer.structure with the endpoint replying ``text``."""
+    with mock.patch("stepassist.context.chat_complete", return_value=text):
+        return RemoteStructurer("http://127.0.0.1:9/chat").structure("raw guideline")
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ([{"id": 1.9, "title": 5}], "id must be an integer, got 1.9"),
+        ([{"id": 1, "title": 5}], "title must be a string, got 5"),
+        ([{"id": "1", "title": "Boil"}], "id must be an integer, got '1'"),
+        ([{"id": 1, "title": "Boil"}, {"id": 2, "title": "Steep", "prerequisites": [True]}],
+         "step 1: prerequisites must be integers"),
+        ([{"id": 1, "title": "Boil", "details": 3}], "details must be a string"),
+        ([{"id": 1, "title": "Boil", "prerequisites": 1}], "prerequisites must be a JSON array"),
+        ([5], "step 0 must be a JSON object"),
+    ],
+)
+def test_structurer_refuses_a_reply_field_of_the_wrong_type(steps, message):
+    with pytest.raises(GuidelineFormatError, match=re.escape(message)):
+        structure_reply(json.dumps({"task": "Brew tea", "steps": steps}))
+
+
+def test_structurer_reads_an_absent_or_null_optional_field_as_empty():
+    steps = [{"id": 1, "title": "Boil", "details": None}, {"id": 2, "title": "Steep",
+                                                          "prerequisites": None}]
+    guide = structure_reply(json.dumps({"task": "Brew tea", "steps": steps}))
+    assert [(s.details, s.prerequisites) for s in guide.steps] == [("", ()), ("", ())]
+
+
+step_entries = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": or_any(st.integers(1, 3)),
+        "title": or_any(st.text(min_size=1, max_size=6)),
+        "details": or_any(st.none() | st.text(max_size=6)),
+        "prerequisites": or_any(st.none() | st.lists(or_any(st.integers(1, 3)), max_size=2)),
+    },
+)
+structured_replies = st.fixed_dictionaries(
+    {},
+    optional={
+        "task": or_any(st.text(min_size=1, max_size=6)),
+        "steps": or_any(st.lists(step_entries, max_size=3)),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=structured_replies, deep=st.booleans())
+@example(obj={"task": "T", "steps": [{"id": 1, "title": "A"},
+                                     {"id": 2, "title": "B", "details": "d", "prerequisites": [1]}]},
+         deep=False)
+def test_structurer_returns_the_reply_values_unchanged_or_refuses(obj, deep):
+    text = with_too_deep(obj, "extra") if deep else json.dumps(obj)
+    try:
+        guide = structure_reply(text)
+    except GuidelineFormatError:
+        return
+    assert not deep
+    assert same(guide.task, obj["task"])
+    assert len(guide.steps) == len(obj["steps"])
+    for got, want in zip(guide.steps, obj["steps"]):
+        assert same(got.id, want["id"]) and same(got.title, want["title"])
+        assert same(got.details, "" if want.get("details") is None else want["details"])
+        prereqs = want.get("prerequisites") or []
+        assert len(got.prerequisites) == len(prereqs)
+        assert all(same(a, b) for a, b in zip(got.prerequisites, prereqs))
 
 
 # -- motion textualization ----------------------------------------------------

@@ -658,6 +658,20 @@ def test_hanging_reasoner_endpoint_drops_each_moment(shelf_trace):
     assert_each_moment_dropped(log, "timed out")
 
 
+def test_an_over_deep_reply_drops_each_moment_as_malformed(shelf_trace):
+    moments = len(replay(shelf_trace, fixture_config())[0].of_kind(KEY_MOMENT))
+    deep = content_reply('{"step": ' + "[" * 5000)
+    with MockChat([deep] * (2 * moments)) as mock:
+        reasoner = ReasonerSpec(kind="remote", endpoint=mock.endpoint, timeout=5.0)
+        log, _ = replay(shelf_trace, fixture_config(reasoner=reasoner))
+    key_pairs = [ev.data["pair"] for ev in log.of_kind(KEY_MOMENT)]
+    errors = log.of_kind(ERROR)
+    assert moments and len(key_pairs) == moments and not log.of_kind(REASONED)
+    assert [ev.data["code"] for ev in errors] == ["malformed_output"] * moments
+    assert [ev.data["pair"] for ev in errors] == key_pairs
+    assert all("nested too deeply" in ev.data["detail"] for ev in errors)
+
+
 class Unreachable:
     """Wraps a reasoner and fails to reach it at scripted timestamps."""
 
@@ -783,12 +797,9 @@ def test_replay_with_corpus_marks_predictions_on_guideline(corpus_dir, standard_
 def test_report_round_trip(tmp_path, shelf_trace):
     log, metrics = replay(shelf_trace, fixture_config())
     path = write_report(log, metrics, tmp_path)
-    loaded_log, loaded_metrics = load_report(path)
-    assert loaded_log.dumps() == log.dumps()
-    assert loaded_metrics == metrics
+    assert load_report(path).dumps() == log.dumps()
     # the directory form loads the same file
-    again_log, again_metrics = load_report(tmp_path)
-    assert again_log.dumps() == log.dumps() and again_metrics == metrics
+    assert load_report(tmp_path).dumps() == log.dumps()
 
     events_csv = (tmp_path / EVENTS_FILE).read_text(encoding="utf-8")
     assert events_csv.splitlines()[0] == "kind,t,data"
@@ -812,9 +823,6 @@ def test_report_writes_undefined_for_missing_denominators(tmp_path):
     assert rows[0] == "metric,value"
     assert all(row.endswith(UNDEFINED) for row in rows[1:])
     assert UNDEFINED in format_metrics(metrics)
-
-    _, loaded = load_report(tmp_path)
-    assert loaded == metrics
 
 
 # -- configuration -------------------------------------------------------------

@@ -1,12 +1,13 @@
+import json
 import math
 import random
+import re
 
 import pytest
 
 from stepassist.harness.events import DELIVERY, REASONED, SAMPLED_PAIR, EventLog
 from stepassist.metrics import (
     METRIC_NAMES,
-    MetricsReport,
     MomentRecord,
     align,
     classification_metrics,
@@ -122,6 +123,26 @@ def twelve_fixture():
     trace = minimal_trace(TWELVE_SEGMENTS, TWELVE_INTERVALS)
     log = build_log(TWELVE_MOMENTS, extra_sampled=TWELVE_EXTRA_SAMPLED)
     return trace, log
+
+
+@pytest.mark.parametrize(
+    "kind, change, message",
+    [
+        (REASONED, {"proactive": "no"}, "proactive must be a boolean, got 'no'"),
+        (REASONED, {"proactive": 0}, "proactive must be a boolean, got 0"),
+        (REASONED, {"step": 5}, "step must be a string, got 5"),
+        (REASONED, {"status": None}, "status must be a string, got None"),
+        (DELIVERY, {"deliver": "no"}, "deliver must be a boolean, got 'no'"),
+    ],
+)
+def test_a_reasoned_or_delivery_field_of_the_wrong_type_is_refused_not_scored(
+        kind, change, message):
+    # a log read back from a report.json is scored by the same fields the engine writes
+    trace, log = twelve_fixture()
+    victim = log.of_kind(kind)[3]
+    victim.data.update(change)
+    with pytest.raises(ValueError, match=re.escape(f"event at t={victim.t}: {message}")):
+        compute_metrics(log, trace)
 
 
 def test_twelve_moment_fixture_hand_counts():
@@ -314,6 +335,6 @@ def test_intervals_without_deliveries_score_zero_not_none():
 def test_report_dict_round_trip():
     trace, log = twelve_fixture()
     report = compute_metrics(log, trace)
-    again = MetricsReport.from_dict(report.as_dict())
-    assert again == report
-    assert set(report.as_dict()["metrics"]) == set(METRIC_NAMES)
+    again = json.loads(json.dumps(report.as_dict()))
+    assert again["metrics"] == {name: getattr(report, name) for name in METRIC_NAMES}
+    assert again["counts"] == report.counts

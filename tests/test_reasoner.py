@@ -5,6 +5,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stepassist.reasoner import (
     ExecutionStatus,
@@ -22,6 +24,8 @@ from stepassist.httpchat import ChatEndpointError
 from stepassist.reasoner import flag_off_guideline
 from stepassist.trace.pgm import read_pgm
 import base64
+
+from oracles import json_values, or_any, same, too_deep, with_too_deep
 
 
 FRAME = np.zeros((4, 6), dtype=np.uint8)
@@ -91,12 +95,13 @@ def test_parse_takes_the_first_object_that_parses():
     # an invalid {...} is skipped for the valid object after it
     out = parse_output(f"Guess: {{step: water}} Final: {VALID_REPLY}")
     assert out.step == "Measure water"
-    # a nested object belongs to the outer reply
-    out = parse_output(
-        '{"step": "X", "status": "in_progress", "proactive": false, '
-        '"reasoning": {"seen": {"hand": "left"}}}'
-    )
-    assert out.step == "X" and out.reasoning == "{'seen': {'hand': 'left'}}"
+    # a nested object belongs to the outer reply, so an object reasoning is refused
+    with pytest.raises(ReasonerOutputError, match="reasoning must be a string"):
+        parse_output(
+            '{"step": "X", "status": "in_progress", "proactive": false, '
+            '"reasoning": {"seen": {"hand": "left"}}} {"step": "Y", "status": "in_progress", '
+            '"proactive": false}'
+        )
     # an unclosed '{' is passed over, or leaves nothing to parse
     out = parse_output(f"{{ unclosed {VALID_REPLY}")
     assert out.step == "Measure water"
@@ -109,11 +114,12 @@ def test_parse_error_kinds_are_distinct():
     cases = [
         ("the user is boiling water", "no JSON object"),
         ('{"step": broken', "no JSON object"),
-        ('[{"step": "X"}]', "lacks a status"),  # the object inside the array parses
-        ('{"status": "in_progress", "proactive": false}', "lacks a step title"),
+        ('[{"step": "X"}]', "missing key 'status'"),  # the object inside the array parses
+        ('{"status": "in_progress", "proactive": false}', "missing key 'step'"),
         ('{"step": "  ", "status": "in_progress", "proactive": false}', "lacks a step title"),
-        ('{"step": "X", "proactive": false}', "lacks a status"),
-        ('{"step": "X", "status": "in_progress", "proactive": "yes"}', "boolean proactive"),
+        ('{"step": "X", "proactive": false}', "missing key 'status'"),
+        ('{"step": "X", "status": "in_progress", "proactive": "yes"}',
+         "proactive must be a boolean"),
         ('{"step": "X", "status": "in_progress", "proactive": false, "response": 3}',
          "response must be a string"),
         ('{"step": "X", "status": "done", "proactive": false}', "unknown execution status"),
@@ -124,6 +130,47 @@ def test_parse_error_kinds_are_distinct():
     for reply, message in cases:
         with pytest.raises(ReasonerOutputError, match=message):
             parse_output(reply)
+
+
+def test_an_over_deep_reply_is_a_reply_error():
+    # the decoder's RecursionError is refused at once, not rescanned at each later '{'
+    for reply in ('{"step": ' + "[" * 5000, '{"reasoning": ' + too_deep() + VALID_REPLY):
+        with pytest.raises(ReasonerOutputError, match="nested too deeply"):
+            parse_output(reply)
+    with pytest.raises(ReasonerOutputError, match="digits"):
+        parse_output('{"step": ' + "1" * 5000 + "}")
+
+
+REPLY_KEYS = {
+    "step": st.text(max_size=8),
+    "status": st.sampled_from([s.value for s in ExecutionStatus]),
+    "proactive": st.booleans(),
+    "response": st.none() | st.text(max_size=8),
+    "reasoning": st.none() | st.text(max_size=8),
+}
+# each reply key absent, well typed, or any JSON value; plus extra keys
+replies = st.tuples(
+    st.fixed_dictionaries({}, optional={k: or_any(v) for k, v in REPLY_KEYS.items()}),
+    st.dictionaries(st.text(max_size=5), json_values, max_size=2),
+).map(lambda parts: {**parts[1], **parts[0]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=replies, deep_key=st.none() | st.sampled_from([*REPLY_KEYS, "extra"]))
+@example(obj={"step": "X", "status": "in_progress", "proactive": True, "response": "Go"},
+         deep_key=None)
+def test_parse_returns_the_reply_values_unchanged_or_refuses(obj, deep_key):
+    text = json.dumps(obj) if deep_key is None else with_too_deep(obj, deep_key)
+    try:
+        out = parse_output(text)
+    except ReasonerOutputError:
+        return
+    assert deep_key is None
+    assert same(out.step, obj["step"]) and out.step.strip()
+    assert same(out.status.value, obj["status"])
+    assert same(out.proactive, obj["proactive"])
+    assert same(out.response, obj.get("response"))
+    assert same(out.reasoning, obj.get("reasoning"))
 
 
 def test_output_type_requires_response_when_proactive():
@@ -261,7 +308,7 @@ def test_oracle_config_validation(steady_trace):
 
 
 class MockChat:
-    """One-shot HTTP chat endpoint replaying scripted raw response bodies."""
+    """One-shot HTTP chat endpoint replaying scripted raw response bodies (text or bytes)."""
 
     def __init__(self, bodies):
         self.bodies = list(bodies)
@@ -272,7 +319,8 @@ class MockChat:
             def do_POST(self):
                 length = int(self.headers["Content-Length"])
                 owner.requests.append(json.loads(self.rfile.read(length)))
-                data = owner.bodies.pop(0).encode("utf-8")
+                data = owner.bodies.pop(0)
+                data = data if isinstance(data, bytes) else data.encode("utf-8")
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -379,3 +427,24 @@ def test_a_transport_failure_on_the_retry_raises_the_same_error():
         with pytest.raises(ChatEndpointError, match="non-JSON"):
             RemoteReasoner(mock.endpoint).reason(make_input())
     assert len(mock.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        json.dumps({"content": 5}),
+        json.dumps({"content": None}),
+        json.dumps({"content": {"step": "X"}}),
+        '{"content": ' + too_deep() + "}",
+        json.dumps({"choices": []}),
+        json.dumps({"choices": [{"message": {"content": 5}}]}),
+        json.dumps({"choices": [{"message": "hi"}]}),
+        b'{"content": "\xff"}',
+    ],
+    ids=["number", "null", "object", "over-deep", "no-choice", "nested-number", "nested-text",
+         "not-utf-8"],
+)
+def test_a_malformed_chat_envelope_is_an_endpoint_error(body):
+    with MockChat([body]) as mock:
+        with pytest.raises(ChatEndpointError, match="malformed|non-JSON"):
+            RemoteReasoner(mock.endpoint).reason(make_input())

@@ -218,6 +218,15 @@ def test_a_number_too_long_to_decode_keeps_the_connection(server):
         assert recv()["of"] == "session_start"
 
 
+def test_a_line_nested_too_deeply_keeps_the_connection(server):
+    with raw_client(server) as (send, recv):
+        send(b"[" * 100_000)
+        err = recv()
+        assert err["code"] == "bad_json" and "recursion" in err["detail"]
+        send(start_message())
+        assert recv()["of"] == "session_start"
+
+
 def test_untyped_and_unknown_messages_are_rejected(server):
     with raw_client(server) as (send, recv):
         send({"no_type": 1})
@@ -520,6 +529,14 @@ def test_a_header_field_that_does_not_convert_is_a_stream_fault(server, override
         assert recv()["of"] == "session_start"
 
 
+@pytest.mark.parametrize("annotations", [[], False, ""])
+def test_annotations_that_are_not_an_object_are_refused_not_read_as_empty(server, annotations):
+    with raw_client(server) as (send, recv):
+        send(start_message(annotations=annotations))
+        err = recv()
+        assert err["code"] == "bad_stream" and "annotations must be a JSON object" in err["detail"]
+
+
 def test_frame_geometry_mismatch_is_a_stream_fault(server):
     with raw_client(server) as (send, recv):
         send(start_message())
@@ -630,6 +647,66 @@ def test_cli_eval_recomputes_saved_reports(tmp_path, capsys, session_dir):
     )
     out = capsys.readouterr().out
     assert "step_acc" in out and "sts" in out
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory, session_dir):
+    out = tmp_path_factory.mktemp("cli") / "rep"
+    assert main(["replay", "--session", str(session_dir), "--out", str(out)] + REPLAY_FLAGS) == 0
+    return out
+
+
+def damaged_report(report_dir, tmp_path, damage):
+    """A copy of the saved report.json with ``damage`` applied to its events."""
+    payload = json.loads((report_dir / REPORT_FILE).read_text())
+    damage(payload["events"])
+    path = tmp_path / REPORT_FILE
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def drop_first_kind(events):
+    del events[0]["kind"]
+
+
+def proactive_as_text(events):
+    for ev in events:
+        if ev["kind"] == "reasoned":
+            ev["data"]["proactive"] = "yes" if ev["data"]["proactive"] else "no"
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (drop_first_kind, "report.json: event 0 missing key 'kind'"),
+        (proactive_as_text, "proactive must be a boolean, got 'no'"),
+    ],
+)
+def test_cli_eval_refuses_a_damaged_report(tmp_path, capsys, session_dir, report_dir,
+                                           damage, message):
+    report = damaged_report(report_dir, tmp_path, damage)
+    capsys.readouterr()
+    assert main(["eval", "--report", str(report), "--session", str(session_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stepassist: error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_input_faults_exit_2_with_one_line(tmp_path, capsys, session_dir):
+    config = tmp_path / "run.json"
+    config.write_text("{not json")
+    assert main(["replay", "--session", str(session_dir), "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("stepassist: error: Expecting property name")
+
+    broken = write_session(load_session(session_dir), tmp_path / "broken")
+    manifest = json.loads((broken / "manifest.json").read_text())
+    manifest["width"] = 320.9
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["replay", "--session", str(broken)] + REPLAY_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert err == f"stepassist: error: {broken / 'manifest.json'}: width must be an integer, " \
+        "got 320.9\n"
 
 
 def test_cli_send_streams_to_a_live_server(capsys, session_dir):

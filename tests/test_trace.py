@@ -36,7 +36,7 @@ from stepassist.trace.types import (
     StepSegment,
 )
 
-from oracles import steady_script
+from oracles import steady_script, too_deep
 
 
 def small_script(**overrides):
@@ -277,6 +277,37 @@ def test_load_names_the_file_it_refuses(tmp_path, case):
     with pytest.raises(SessionFormatError) as err:
         load_session(damage(root, case))
     assert LOAD_REFUSALS[case] in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (b"1" * 5000, "manifest.json: invalid JSON (Exceeds the limit (4300 digits)"),
+        (too_deep().encode(), "manifest.json: invalid JSON (JSON nested too deeply"),
+        (b'"\xff"', "manifest.json: invalid JSON ('utf-8' codec can't decode"),
+    ],
+    ids=["digits", "nesting", "not-utf-8"],
+)
+def test_load_refuses_a_manifest_that_does_not_decode(tmp_path, value, message):
+    root = write_session(generate_synthetic(small_script()), tmp_path / "sess")
+    text = (root / "manifest.json").read_bytes()
+    width = json.loads(text)["width"]
+    (root / "manifest.json").write_bytes(text.replace(b'"width": %d' % width, b'"width": ' + value))
+    with pytest.raises(SessionFormatError) as err:
+        load_session(root)
+    assert message in str(err.value)
+
+
+def test_load_reads_the_guideline_doc_id_as_a_string(tmp_path):
+    trace = dataclasses.replace(generate_synthetic(small_script()), guideline_doc_id="tea")
+    root = write_session(trace, tmp_path / "sess")
+    assert load_session(root).guideline_doc_id == "tea"
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["guideline_doc_id"] = 5
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SessionFormatError, match="manifest.json: guideline_doc_id must be a "
+                       "string, got 5"):
+        load_session(root)
 
 
 def test_load_rejects_missing_frame_file(tmp_path):
