@@ -1,5 +1,6 @@
 """Procedural context: guideline retrieval and structuring, hand-motion
-textualization, and the completed-step progress record.
+textualization, and the completed-step progress record. A structured
+guideline checks its step graph when it is built, so no structurer skips it.
 
 Retrieval is plain tf-idf cosine over lowercase word tokens. It is run once
 per session against a small expert-written corpus, so exact, hand-checkable
@@ -11,6 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from .httpchat import chat_complete
@@ -118,10 +120,39 @@ class GuidelineStep:
     prerequisites: tuple[int, ...] = ()
 
 
+class GuidelineFormatError(ValueError):
+    """A structured guideline violates the step-graph contract."""
+
+
 @dataclass(frozen=True)
 class StructuredGuideline:
+    """A task label and its step graph, checked when it is built: step ids
+    contiguous from 1, task and titles nonempty, prerequisites naming known
+    steps and free of cycles; a breach raises GuidelineFormatError."""
+
     task: str
     steps: tuple[GuidelineStep, ...]
+
+    def __post_init__(self) -> None:
+        if not self.task.strip():
+            raise GuidelineFormatError("guideline task label is empty")
+        if not self.steps:
+            raise GuidelineFormatError("guideline has no steps")
+        ids = sorted(s.id for s in self.steps)
+        known = range(1, len(ids) + 1)
+        if ids != list(known):
+            raise GuidelineFormatError(f"step ids must be contiguous from 1, got {ids}")
+        for s in self.steps:
+            if not s.title.strip():
+                raise GuidelineFormatError(f"step {s.id} has an empty title")
+            for p in s.prerequisites:  # the sorter below would take an unknown id as a new step
+                if p not in known:
+                    raise GuidelineFormatError(f"step {s.id} requires unknown step {p}")
+        try:
+            TopologicalSorter({s.id: s.prerequisites for s in self.steps}).prepare()
+        except CycleError as exc:
+            cycle = ", ".join(str(i) for i in exc.args[1])
+            raise GuidelineFormatError(f"prerequisites are cyclic through steps {cycle}") from None
 
     def step_titles(self) -> list[str]:
         return [s.title for s in self.steps]
@@ -137,56 +168,6 @@ class StructuredGuideline:
                 line += f" :: {s.details}"
             lines.append(line)
         return "\n".join(lines)
-
-
-class GuidelineFormatError(ValueError):
-    """A structured guideline violates the step-graph contract."""
-
-
-def validate_guideline(guideline: StructuredGuideline) -> StructuredGuideline:
-    """Enforce the structural contract; returns the guideline for chaining.
-
-    Step ids must be contiguous from 1, titles nonempty, prerequisites must
-    reference existing steps, and the prerequisite graph must be acyclic.
-    """
-    if not guideline.task.strip():
-        raise GuidelineFormatError("guideline task label is empty")
-    if not guideline.steps:
-        raise GuidelineFormatError("guideline has no steps")
-    ids = [s.id for s in guideline.steps]
-    if sorted(ids) != list(range(1, len(ids) + 1)):
-        raise GuidelineFormatError(
-            f"step ids must be contiguous from 1, got {sorted(ids)}"
-        )
-    by_id = {s.id: s for s in guideline.steps}
-    for s in guideline.steps:
-        if not s.title.strip():
-            raise GuidelineFormatError(f"step {s.id} has an empty title")
-        for p in s.prerequisites:
-            if p not in by_id:
-                raise GuidelineFormatError(
-                    f"step {s.id} requires unknown step {p}"
-                )
-
-    # DFS cycle check over prerequisite edges
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in by_id}
-
-    def visit(i: int) -> None:
-        color[i] = GRAY
-        for p in by_id[i].prerequisites:
-            if color[p] == GRAY:
-                raise GuidelineFormatError(
-                    f"prerequisites are cyclic through step {p}"
-                )
-            if color[p] == WHITE:
-                visit(p)
-        color[i] = BLACK
-
-    for i in by_id:
-        if color[i] == WHITE:
-            visit(i)
-    return guideline
 
 
 _STEP_LINE_RE = re.compile(r"^\s*(\d+)\.\s*(.+?)\s*$")
@@ -235,7 +216,7 @@ class ScriptedStructurer:
             )
         if not task:
             task = "Untitled task"
-        return validate_guideline(StructuredGuideline(task=task, steps=tuple(steps)))
+        return StructuredGuideline(task=task, steps=tuple(steps))
 
 
 _STRUCTURER_SYSTEM = (
@@ -288,7 +269,7 @@ class RemoteStructurer:
                 steps.append(GuidelineStep(step_id, title, details, tuple(prereqs)))
         except ValueError as exc:
             raise GuidelineFormatError(f"structurer reply malformed: {exc}") from exc
-        return validate_guideline(StructuredGuideline(task, tuple(steps)))
+        return StructuredGuideline(task, tuple(steps))
 
 
 def direction_name(dx: float, dy: float, stationary_threshold: float) -> str:

@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # an input fault, as on the wire; others keep their traceback
+    except (OSError, ValueError) as exc:  # an input fault; others keep their traceback
         print(f"stepassist: error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,8 @@
 
 Everything tunable lives here so a run is reproducible from its config dict.
 Unknown keys are rejected rather than ignored; a typo should fail at startup,
-not silently run with a default.
+not silently run with a default. Each spec checks its own rules when it is
+built, so a run never trips over a bad config mid-session.
 """
 from __future__ import annotations
 
@@ -30,10 +31,20 @@ class ReasonerSpec:
     model: str | None = None
     timeout: float = 30.0
 
+    def __post_init__(self) -> None:
+        if self.kind not in REASONER_KINDS:
+            raise ValueError(f"reasoner kind must be one of {REASONER_KINDS}")
+        if self.kind == "remote" and not self.endpoint:
+            raise ValueError("remote reasoner requires an endpoint")
+
 
 @dataclass(frozen=True)
 class DetectorSpec:
     kind: str = "annotation"
+
+    def __post_init__(self) -> None:
+        if self.kind not in DETECTOR_KINDS:
+            raise ValueError(f"detector kind must be one of {DETECTOR_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -54,17 +65,9 @@ class PipelineConfig:
     structurer: StructurerSpec = StructurerSpec()
     corpus_dir: str | None = None
 
-    def validate(self) -> "PipelineConfig":
-        """Fail fast on anything a run would only trip over mid-session."""
-        if self.reasoner.kind not in REASONER_KINDS:
-            raise ValueError(f"reasoner kind must be one of {REASONER_KINDS}")
-        if self.reasoner.kind == "remote" and not self.reasoner.endpoint:
-            raise ValueError("remote reasoner requires an endpoint")
-        if self.detector.kind not in DETECTOR_KINDS:
-            raise ValueError(f"detector kind must be one of {DETECTOR_KINDS}")
+    def __post_init__(self) -> None:
         if self.corpus_dir is not None and not Path(self.corpus_dir).is_dir():
             raise ValueError(f"corpus directory {self.corpus_dir} does not exist")
-        return self
 
 
 def _build(cls: type, obj: Any, path: str) -> Any:
@@ -91,5 +94,5 @@ def _build(cls: type, obj: Any, path: str) -> Any:
 
 
 def config_from_dict(obj: dict[str, Any]) -> PipelineConfig:
-    return _build(PipelineConfig, obj, "").validate()
+    return _build(PipelineConfig, obj, "")
 

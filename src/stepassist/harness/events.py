@@ -1,11 +1,13 @@
 """Append-only event log shared by replay and serve.
 
-Every pipeline action lands here as a typed event with a non-decreasing
-timestamp, so a run can be replayed, diffed bit-for-bit, and scored offline.
+Every pipeline action lands here as a typed event with a finite,
+non-decreasing timestamp, so a run can be replayed, diffed bit-for-bit, and
+scored offline.
 """
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -38,6 +40,8 @@ class EventLog:
         self.events: list[Event] = []
 
     def append(self, kind: str, t: float, /, **data: Any) -> Event:
+        if not math.isfinite(t):  # NaN would pass the order check below
+            raise ValueError(f"event time must be finite, got {t}")
         if self.events and t < self.events[-1].t:
             raise ValueError(
                 f"event timestamps must be non-decreasing: {t} after {self.events[-1].t}"

@@ -24,7 +24,6 @@ from ..context import (
     render_progress,
     retrieve_guideline,
     textualize_motion,
-    validate_guideline,
 )
 from ..httpchat import ChatEndpointError
 from ..metrics import MetricsReport, compute_metrics
@@ -86,7 +85,7 @@ def synthesize_guideline(instruction: str, step_labels: Sequence[str]) -> Struct
         )
         for i, label in enumerate(step_labels)
     )
-    return validate_guideline(StructuredGuideline(task=instruction, steps=steps))
+    return StructuredGuideline(task=instruction, steps=steps)
 
 
 def resolve_guideline(
@@ -156,7 +155,6 @@ class SessionPipeline:
         *,
         reasoner: Reasoner | None = None,
     ):
-        cfg.validate()
         self._stream = StreamCheck(session, ValidationReport())
         if self._stream.report.violations:
             raise ValueError(self._stream.report.violations[0].message)

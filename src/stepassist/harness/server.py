@@ -205,7 +205,6 @@ class PipelineServer:
         *,
         keep_logs: bool = False,
     ):
-        cfg.validate()
         self.cfg = cfg
         self.keep_logs = keep_logs
         self.finished_logs: dict[str, EventLog] = {}

@@ -1,9 +1,11 @@
 """Deterministic synthetic session generator.
 
 A SyntheticScript declares a step plan (phases with statuses and proactive
-windows), gyro burst windows, and hand-patch motion; ``generate_synthetic``
-renders it into a fully annotated SessionTrace, bit-identical for a given
-script (the only randomness is a generator seeded from ``script.seed``).
+windows), gyro burst windows, and hand-patch motion, and checks when it is
+built (``dataclasses.replace`` included) that it is consistent and renderable;
+``generate_synthetic`` renders it into a fully annotated SessionTrace,
+bit-identical for a given script (the only randomness is a generator seeded
+from ``script.seed``).
 
 Design notes that keep downstream math exact:
 
@@ -85,6 +87,10 @@ class HandTrack:
         return (0, 0)
 
 
+class ScriptError(ValueError):
+    """The script is internally inconsistent or physically unrenderable."""
+
+
 @dataclass(frozen=True)
 class SyntheticScript:
     """Complete recipe for one synthetic session."""
@@ -107,86 +113,77 @@ class SyntheticScript:
     seed: int = 0
     guideline_doc_id: str | None = None
 
+    def __post_init__(self) -> None:
+        if not self.steps:
+            raise ScriptError("script declares no steps")
+        for plan in self.steps:
+            if not plan.step.strip():
+                raise ScriptError("step label is empty")
+            if not plan.phases:
+                raise ScriptError(f"step {plan.step!r} has no phases")
+            for ph in plan.phases:
+                if ph.duration <= 0:
+                    raise ScriptError(f"step {plan.step!r} has a non-positive phase duration")
+            for off_s, off_e in plan.proactive:
+                if not (0 <= off_s < off_e <= plan.duration):
+                    raise ScriptError(
+                        f"step {plan.step!r} proactive window ({off_s}, {off_e}) "
+                        f"leaves the step [0, {plan.duration}]"
+                    )
+
+        total = self.total_duration
+        cycles = total / self.frame_grid
+        if abs(cycles - round(cycles)) > 1e-9:
+            raise ScriptError(
+                f"total duration {total} is not a multiple of frame grid {self.frame_grid}"
+            )
+        if self.frame_grid <= self.pair_gap:
+            raise ScriptError("frame grid must exceed the intra-pair gap")
+        if self.imu_period <= 0:
+            raise ScriptError("imu period must be positive")
+        if not (0 <= self.base_motion < self.burst_level < self.burst_motion):
+            raise ScriptError("need base_motion < burst_level < burst_motion")
+        for w0, w1 in self.burst_windows:
+            if not (0 <= w0 < w1 <= total):
+                raise ScriptError(f"burst window ({w0}, {w1}) leaves [0, {total}]")
+
+        if self.global_moves and self.hands:
+            raise ScriptError("global camera moves and hand tracks are mutually exclusive")
+        if len(self.hands) > 2:
+            raise ScriptError("at most two hand tracks")
+        sides = [h.side for h in self.hands]
+        if len(set(sides)) != len(sides) or any(s not in ("left", "right") for s in sides):
+            raise ScriptError(f"hand sides must be unique left/right, got {sides}")
+
+        r = self.flow_search_radius
+        for track in self.hands:
+            positions = [(track.x, track.y)]
+            for mv in track.moves:
+                if max(abs(mv.dx), abs(mv.dy)) > r:
+                    raise ScriptError(
+                        f"{track.side} hand move ({mv.dx}, {mv.dy}) exceeds flow search radius {r}"
+                    )
+                positions.append((track.x + mv.dx, track.y + mv.dy))
+            for px, py in positions:
+                if not (0 <= px <= self.width - self.patch and 0 <= py <= self.height - self.patch):
+                    raise ScriptError(f"{track.side} hand patch leaves the frame at ({px}, {py})")
+        for mv in self.global_moves:
+            if max(abs(mv.dx), abs(mv.dy)) > r:
+                raise ScriptError(
+                    f"global move ({mv.dx}, {mv.dy}) exceeds flow search radius {r}"
+                )
+
+        if len(self.hands) == 2:
+            a, b, p = *self.hands, self.patch
+            for t_probe in _pair_times(self):
+                if _boxes_overlap(_box_at(a, t_probe, p), _box_at(b, t_probe, p)):
+                    raise ScriptError(f"hand patches overlap in the second frame at t={t_probe}")
+            if _boxes_overlap((a.x, a.y, p, p), (b.x, b.y, p, p)):
+                raise ScriptError("hand patches overlap in the first frame")
+
     @property
     def total_duration(self) -> float:
         return sum(s.duration for s in self.steps)
-
-
-class ScriptError(ValueError):
-    """The script is internally inconsistent or physically unrenderable."""
-
-
-def _validate_script(script: SyntheticScript) -> None:
-    if not script.steps:
-        raise ScriptError("script declares no steps")
-    for plan in script.steps:
-        if not plan.step.strip():
-            raise ScriptError("step label is empty")
-        if not plan.phases:
-            raise ScriptError(f"step {plan.step!r} has no phases")
-        for ph in plan.phases:
-            if ph.duration <= 0:
-                raise ScriptError(f"step {plan.step!r} has a non-positive phase duration")
-        for off_s, off_e in plan.proactive:
-            if not (0 <= off_s < off_e <= plan.duration):
-                raise ScriptError(
-                    f"step {plan.step!r} proactive window ({off_s}, {off_e}) "
-                    f"leaves the step [0, {plan.duration}]"
-                )
-
-    total = script.total_duration
-    cycles = total / script.frame_grid
-    if abs(cycles - round(cycles)) > 1e-9:
-        raise ScriptError(
-            f"total duration {total} is not a multiple of frame grid {script.frame_grid}"
-        )
-    if script.frame_grid <= script.pair_gap:
-        raise ScriptError("frame grid must exceed the intra-pair gap")
-    if script.imu_period <= 0:
-        raise ScriptError("imu period must be positive")
-    if not (0 <= script.base_motion < script.burst_level < script.burst_motion):
-        raise ScriptError("need base_motion < burst_level < burst_motion")
-    for w0, w1 in script.burst_windows:
-        if not (0 <= w0 < w1 <= total):
-            raise ScriptError(f"burst window ({w0}, {w1}) leaves [0, {total}]")
-
-    if script.global_moves and script.hands:
-        raise ScriptError("global camera moves and hand tracks are mutually exclusive")
-    if len(script.hands) > 2:
-        raise ScriptError("at most two hand tracks")
-    sides = [h.side for h in script.hands]
-    if len(set(sides)) != len(sides) or any(s not in ("left", "right") for s in sides):
-        raise ScriptError(f"hand sides must be unique left/right, got {sides}")
-
-    r = script.flow_search_radius
-    for track in script.hands:
-        positions = [(track.x, track.y)]
-        for mv in track.moves:
-            if max(abs(mv.dx), abs(mv.dy)) > r:
-                raise ScriptError(
-                    f"{track.side} hand move ({mv.dx}, {mv.dy}) exceeds flow search radius {r}"
-                )
-            positions.append((track.x + mv.dx, track.y + mv.dy))
-        for px, py in positions:
-            if px < 0 or py < 0 or px + script.patch > script.width or py + script.patch > script.height:
-                raise ScriptError(
-                    f"{track.side} hand patch leaves the frame at ({px}, {py})"
-                )
-    for mv in script.global_moves:
-        if max(abs(mv.dx), abs(mv.dy)) > r:
-            raise ScriptError(
-                f"global move ({mv.dx}, {mv.dy}) exceeds flow search radius {r}"
-            )
-
-    if len(script.hands) == 2:
-        a, b = script.hands
-        for t_probe in _pair_times(script):
-            if _boxes_overlap(_box_at(a, t_probe, script.patch), _box_at(b, t_probe, script.patch)):
-                raise ScriptError(f"hand patches overlap in the second frame at t={t_probe}")
-        if _boxes_overlap(
-            (a.x, a.y, script.patch, script.patch), (b.x, b.y, script.patch, script.patch)
-        ):
-            raise ScriptError("hand patches overlap in the first frame")
 
 
 def _box_at(track: HandTrack, t: float, patch: int) -> tuple[int, int, int, int]:
@@ -216,7 +213,6 @@ def _global_displacement_at(script: SyntheticScript, t: float) -> tuple[int, int
 
 def generate_synthetic(script: SyntheticScript) -> SessionTrace:
     """Render a script into an annotated SessionTrace, deterministically."""
-    _validate_script(script)
     rng = np.random.default_rng(script.seed)
     h, w, patch = script.height, script.width, script.patch
 

@@ -20,7 +20,6 @@ from stepassist.context import (
     render_progress,
     retrieve_guideline,
     textualize_motion,
-    validate_guideline,
 )
 from stepassist.motion import FlowSummary
 
@@ -157,15 +156,15 @@ def guideline(steps, task="Demo task"):
 def test_validate_guideline_rejects_structural_defects():
     ok = GuidelineStep(id=1, title="Only step")
     with pytest.raises(GuidelineFormatError):
-        validate_guideline(guideline([ok], task="  "))
+        guideline([ok], task="  ")
     with pytest.raises(GuidelineFormatError):
-        validate_guideline(guideline([]))
+        guideline([])
     with pytest.raises(GuidelineFormatError, match="contiguous"):
-        validate_guideline(guideline([ok, GuidelineStep(id=3, title="Gap")]))
+        guideline([ok, GuidelineStep(id=3, title="Gap")])
     with pytest.raises(GuidelineFormatError):
-        validate_guideline(guideline([GuidelineStep(id=1, title="  ")]))
+        guideline([GuidelineStep(id=1, title="  ")])
     with pytest.raises(GuidelineFormatError):
-        validate_guideline(guideline([GuidelineStep(id=1, title="Lost", prerequisites=(9,))]))
+        guideline([GuidelineStep(id=1, title="Lost", prerequisites=(9,))])
 
 
 def test_validate_guideline_rejects_cycles():
@@ -174,9 +173,38 @@ def test_validate_guideline_rejects_cycles():
         GuidelineStep(id=2, title="Second", prerequisites=(1,)),
     ]
     with pytest.raises(GuidelineFormatError, match="cyclic"):
-        validate_guideline(guideline(steps))
+        guideline(steps)
     with pytest.raises(GuidelineFormatError, match="cyclic"):
-        validate_guideline(guideline([GuidelineStep(id=1, title="Self", prerequisites=(1,))]))
+        guideline([GuidelineStep(id=1, title="Self", prerequisites=(1,))])
+
+
+@st.composite
+def prerequisite_graphs(draw):
+    """Step id -> prerequisite ids over 1-6 steps, inserted in a drawn order."""
+    ids = list(range(1, draw(st.integers(1, 6)) + 1))
+    prereqs = st.lists(st.sampled_from(ids), unique=True, max_size=len(ids)).map(tuple)
+    return {i: draw(prereqs) for i in draw(st.permutations(ids))}
+
+
+def reaches_itself(graph):
+    """Warshall's transitive closure: some step is its own (indirect) prerequisite."""
+    reach = {i: set(ps) for i, ps in graph.items()}
+    for k in graph:
+        for i in graph:
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    return any(i in reach[i] for i in graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prerequisite_graphs())
+def test_guideline_is_refused_exactly_when_prerequisites_are_cyclic(graph):
+    steps = [GuidelineStep(id=i, title=f"Step {i}", prerequisites=ps) for i, ps in graph.items()]
+    if reaches_itself(graph):
+        with pytest.raises(GuidelineFormatError, match="cyclic"):
+            guideline(steps)
+    else:
+        assert guideline(steps).steps == tuple(steps)
 
 
 def structure_reply(text):

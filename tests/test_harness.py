@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import stepassist
 from stepassist.checker import CheckerState, update
 from stepassist.harness.config import (
+    DetectorSpec,
     PipelineConfig,
     ReasonerSpec,
     StructurerSpec,
@@ -862,8 +863,15 @@ def test_config_validation_failures(tmp_path):
         config_from_dict({"detector": {"kind": "lidar"}})
     with pytest.raises(ValueError, match="does not exist"):
         config_from_dict({"corpus_dir": str(tmp_path / "nope")})
+    # each spec checks itself when it is built, however it is built
     with pytest.raises(ValueError, match="reasoner kind"):
-        PipelineConfig(reasoner=ReasonerSpec(kind="psychic")).validate()
+        ReasonerSpec(kind="psychic")
+    with pytest.raises(ValueError, match="remote reasoner requires an endpoint"):
+        ReasonerSpec(kind="remote")
+    with pytest.raises(ValueError, match="detector kind"):
+        DetectorSpec(kind="lidar")
+    with pytest.raises(ValueError, match="does not exist"):
+        PipelineConfig(corpus_dir=str(tmp_path / "nope"))
     with pytest.raises(ValueError, match="config sampler must be an object"):
         config_from_dict({"sampler": 5})
     with pytest.raises(ValueError, match="config reasoner.oracle must be an object"):

@@ -675,11 +675,16 @@ def proactive_as_text(events):
             ev["data"]["proactive"] = "yes" if ev["data"]["proactive"] else "no"
 
 
+def nan_fifth_time(events):
+    events[5]["t"] = math.nan  # json writes the non-JSON literal NaN, and reads it back
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
         (drop_first_kind, "report.json: event 0 missing key 'kind'"),
         (proactive_as_text, "proactive must be a boolean, got 'no'"),
+        (nan_fifth_time, "report.json: event time must be finite, got nan"),
     ],
 )
 def test_cli_eval_refuses_a_damaged_report(tmp_path, capsys, session_dir, report_dir,
@@ -707,6 +712,24 @@ def test_cli_input_faults_exit_2_with_one_line(tmp_path, capsys, session_dir):
     err = capsys.readouterr().err
     assert err == f"stepassist: error: {broken / 'manifest.json'}: width must be an integer, " \
         "got 320.9\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--report", "{missing}", "--session", "{session}"],
+        ["replay", "--session", "{session}", "--config", "{missing}"],
+        ["retrieve", "--corpus", "{missing}", "--instruction", "brew tea"],
+    ],
+)
+def test_cli_missing_input_file_exits_2_with_one_line(tmp_path, capsys, session_dir, command):
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing, session=session_dir) for a in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stepassist: error: ") and str(missing) in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_send_streams_to_a_live_server(capsys, session_dir):

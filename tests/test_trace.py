@@ -533,6 +533,11 @@ def test_segment_lookup_half_open(standard_trace):
 def test_script_validation_errors():
     with pytest.raises(ScriptError):
         generate_synthetic(small_script(steps=()))
+    # the script checks itself when it is built, by replace() too
+    with pytest.raises(ScriptError, match="script declares no steps"):
+        small_script(steps=())
+    with pytest.raises(ScriptError, match="frame grid must exceed the intra-pair gap"):
+        dataclasses.replace(small_script(), pair_gap=0.5)
     with pytest.raises(ScriptError):
         # displacement beyond the search radius is unrenderable
         generate_synthetic(
