@@ -123,7 +123,10 @@ def _cmd_send(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     log = load_report(args.report)
     trace = load_session(args.session)
-    metrics = compute_metrics(log, trace)
+    try:
+        metrics = compute_metrics(log, trace)
+    except ValueError as exc:  # a fault in a scored field, named like load_report's
+        raise ValueError(f"{args.report}: {exc}") from None
     print(format_metrics(metrics))
     return 0
 

@@ -54,8 +54,12 @@ def load_report(path: str | Path) -> EventLog:
     try:
         (events,) = fields(loads(p.read_text(encoding="utf-8")), {"events": list}, "report")
         for i, entry in enumerate(events):
-            kind, t, data = fields(entry, {"kind": str, "t": float, "data": dict}, f"event {i}")
-            log.append(kind, t, **data)
+            where = f"event {i}"
+            kind, t, data = fields(entry, {"kind": str, "t": float, "data": dict}, where)
+            try:
+                log.append(kind, t, **data)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{p}: {exc}") from None
     return log

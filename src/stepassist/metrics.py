@@ -1,16 +1,17 @@
 """Evaluation metrics over a finished run.
 
-Alignment maps every reasoned moment onto ground truth with half-open
-segment intervals: a moment exactly at a boundary belongs to the following
-segment. Moments outside every segment are kept (they still count for the
-proactive metrics, with need=false) but excluded from step/status accuracy
-denominators. Any metric whose denominator is empty is reported as None,
-never as 0.
+``align`` joins every reasoned moment with ground truth, and
+``compute_metrics`` scores the joined records into one ``MetricsReport``,
+whose docstring defines each metric. Alignment uses half-open segment
+intervals: a moment exactly at a boundary belongs to the following segment.
+Moments outside every segment are kept (they still count for the proactive
+metrics, with need=false) but excluded from step/status accuracy
+denominators.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Sequence
 
 from .harness.events import DELIVERY, REASONED, SAMPLED_PAIR, EventLog
@@ -44,7 +45,12 @@ def align(log: EventLog, trace: SessionTrace) -> list[MomentRecord]:
     records: list[MomentRecord] = []
     for ev in log.of_kind(REASONED):
         t = ev.t
-        step, status, proactive = fields(ev.data, VERDICT_FIELDS, f"reasoned event at t={t}")
+        where = f"reasoned event at t={t}"
+        step, status, proactive = fields(ev.data, VERDICT_FIELDS, where)
+        try:
+            pred_status = ExecutionStatus.parse(status)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         seg = trace.segment_at(t)
         need = trace.need_at(t)
         # equal intervals contain the same t, so index() finds the first container
@@ -53,7 +59,7 @@ def align(log: EventLog, trace: SessionTrace) -> list[MomentRecord]:
             MomentRecord(
                 timestamp=t,
                 pred_step=step,
-                pred_status=ExecutionStatus.parse(status),
+                pred_status=pred_status,
                 pred_proactive=proactive,
                 delivered=t in delivered_at,
                 gt_step=seg.step if seg else None,
@@ -64,58 +70,6 @@ def align(log: EventLog, trace: SessionTrace) -> list[MomentRecord]:
             )
         )
     return records
-
-
-@dataclass(frozen=True)
-class ClassificationMetrics:
-    """Step/status accuracy plus the three proactive-decision metrics.
-
-    acc_p: fraction of moments whose proactive flag matches need.
-    md: missed detections, needed moments left silent / needed moments.
-    fd: false detections, quiet moments spoken on / quiet moments.
-    """
-
-    step_acc: float | None
-    status_acc: float | None
-    acc_p: float | None
-    md: float | None
-    fd: float | None
-    counts: dict[str, int] = field(default_factory=dict)
-
-
-def classification_metrics(records: Sequence[MomentRecord]) -> ClassificationMetrics:
-    annotated = [r for r in records if r.annotated]
-    step_correct = sum(1 for r in annotated if r.pred_step == r.gt_step)
-    status_correct = sum(1 for r in annotated if r.pred_status == r.gt_status)
-
-    total = len(records)
-    proactive_correct = sum(1 for r in records if r.pred_proactive == r.need)
-    needed = [r for r in records if r.need]
-    quiet = [r for r in records if not r.need]
-    missed = sum(1 for r in needed if not r.pred_proactive)
-    false_alarms = sum(1 for r in quiet if r.pred_proactive)
-
-    def ratio(num: int, den: int) -> float | None:
-        return num / den if den else None
-
-    return ClassificationMetrics(
-        step_acc=ratio(step_correct, len(annotated)),
-        status_acc=ratio(status_correct, len(annotated)),
-        acc_p=ratio(proactive_correct, total),
-        md=ratio(missed, len(needed)),
-        fd=ratio(false_alarms, len(quiet)),
-        counts={
-            "moments": total,
-            "annotated_moments": len(annotated),
-            "step_correct": step_correct,
-            "status_correct": status_correct,
-            "proactive_correct": proactive_correct,
-            "need_moments": len(needed),
-            "missed": missed,
-            "quiet_moments": len(quiet),
-            "false_alarms": false_alarms,
-        },
-    )
 
 
 @dataclass(frozen=True)
@@ -165,41 +119,24 @@ def sts(
 
 
 @dataclass(frozen=True)
-class OverheadMetrics:
-    """Reasoning economy: how often the reasoner ran, and how on-target.
-
-    inference_ratio: reasoned moments / sampled pairs.
-    hit_rate: reasoned moments inside proactive intervals / reasoned moments.
-    """
-
-    inference_ratio: float
-    hit_rate: float | None
-    counts: dict[str, int] = field(default_factory=dict)
-
-
-def overhead_metrics(log: EventLog, trace: SessionTrace) -> OverheadMetrics:
-    sampled = len(log.of_kind(SAMPLED_PAIR))
-    if sampled == 0:
-        raise ValueError("no sampled pairs in the log")
-    reasoned_events = log.of_kind(REASONED)
-    reasoned = len(reasoned_events)
-    in_interval = sum(
-        1 for ev in reasoned_events if trace.need_at(ev.t) is not None
-    )
-    return OverheadMetrics(
-        inference_ratio=reasoned / sampled,
-        hit_rate=(in_interval / reasoned) if reasoned else None,
-        counts={
-            "sampled_pairs": sampled,
-            "reasoned_moments": reasoned,
-            "reasoned_in_interval": in_interval,
-        },
-    )
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    """Everything the harness reports for one run."""
+    """Everything the harness reports for one run.
+
+    step_acc, status_acc: annotated moments whose predicted step (status)
+        matches the segment's / annotated moments.
+    acc_p: moments whose proactive flag matches need / moments.
+    md: missed detections, needed moments left silent / needed moments.
+    fd: false detections, quiet moments spoken on / quiet moments.
+    sts: mean per-interval timeliness score (``sts``) over the proactive
+        intervals.
+    inference_ratio: reasoned moments / sampled pairs.
+    hit_rate: reasoned moments inside proactive intervals / reasoned moments,
+        reported only for a log with sampled pairs.
+
+    A metric whose denominator is empty is None, never 0. ``counts`` holds the
+    tallies behind them; the interval and overhead tallies appear only with
+    proactive intervals and sampled pairs respectively.
+    """
 
     step_acc: float | None
     status_acc: float | None
@@ -211,64 +148,58 @@ class MetricsReport:
     hit_rate: float | None
     counts: dict[str, int] = field(default_factory=dict)
 
-    METRIC_NAMES = (
-        "step_acc",
-        "status_acc",
-        "acc_p",
-        "md",
-        "fd",
-        "sts",
-        "inference_ratio",
-        "hit_rate",
-    )
-
     def as_dict(self) -> dict[str, object]:
         return {
-            "metrics": {name: getattr(self, name) for name in self.METRIC_NAMES},
+            "metrics": {name: getattr(self, name) for name in METRIC_NAMES},
             "counts": dict(self.counts),
         }
 
 
-METRIC_NAMES = MetricsReport.METRIC_NAMES
+METRIC_NAMES = tuple(f.name for f in dataclass_fields(MetricsReport) if f.name != "counts")
+
+
+def _ratio(num: int, den: int) -> float | None:
+    return num / den if den else None
 
 
 def compute_metrics(log: EventLog, trace: SessionTrace) -> MetricsReport:
-    """Aggregate every metric for a finished run.
-
-    Metrics without a defined denominator come back None: sts without
-    proactive intervals, hit_rate without reasoned moments, inference_ratio
-    on a log with no sampled pairs (an empty run is reportable, just mostly
-    undefined).
-    """
+    """Score a finished run; an empty run is reportable, just mostly undefined."""
     records = align(log, trace)
-    cls_metrics = classification_metrics(records)
-    counts = dict(cls_metrics.counts)
+    annotated = [r for r in records if r.annotated]
+    needed = [r for r in records if r.need]
+    counts = {
+        "moments": len(records),
+        "annotated_moments": len(annotated),
+        "step_correct": sum(r.pred_step == r.gt_step for r in annotated),
+        "status_correct": sum(r.pred_status == r.gt_status for r in annotated),
+        "proactive_correct": sum(r.pred_proactive == r.need for r in records),
+        "need_moments": len(needed),
+        "missed": sum(not r.pred_proactive for r in needed),
+        "quiet_moments": len(records) - len(needed),
+        "false_alarms": sum(r.pred_proactive and not r.need for r in records),
+    }
 
     sts_value: float | None = None
     if trace.proactive_intervals:
-        sts_result = sts(records, trace.proactive_intervals)
-        sts_value = sts_result.value
+        result = sts(records, trace.proactive_intervals)
+        sts_value = result.value
         counts["intervals"] = len(trace.proactive_intervals)
-        counts["intervals_triggered"] = sum(
-            1 for t in sts_result.trigger_times if t is not None
-        )
+        counts["intervals_triggered"] = sum(t is not None for t in result.trigger_times)
 
-    inference_ratio: float | None = None
-    hit_rate: float | None = None
-    if log.of_kind(SAMPLED_PAIR):
-        overhead = overhead_metrics(log, trace)
-        inference_ratio = overhead.inference_ratio
-        hit_rate = overhead.hit_rate
-        counts.update(overhead.counts)
+    sampled = len(log.of_kind(SAMPLED_PAIR))
+    if sampled:
+        counts["sampled_pairs"] = sampled
+        counts["reasoned_moments"] = len(records)
+        counts["reasoned_in_interval"] = len(needed)
 
     return MetricsReport(
-        step_acc=cls_metrics.step_acc,
-        status_acc=cls_metrics.status_acc,
-        acc_p=cls_metrics.acc_p,
-        md=cls_metrics.md,
-        fd=cls_metrics.fd,
+        step_acc=_ratio(counts["step_correct"], len(annotated)),
+        status_acc=_ratio(counts["status_correct"], len(annotated)),
+        acc_p=_ratio(counts["proactive_correct"], len(records)),
+        md=_ratio(counts["missed"], len(needed)),
+        fd=_ratio(counts["false_alarms"], counts["quiet_moments"]),
         sts=sts_value,
-        inference_ratio=inference_ratio,
-        hit_rate=hit_rate,
+        inference_ratio=_ratio(len(records), sampled),
+        hit_rate=_ratio(len(needed), len(records)) if sampled else None,
         counts=counts,
     )

@@ -24,7 +24,7 @@ from stepassist.harness.events import DELIVERY, ERROR, REASONED
 from stepassist.harness.pipeline import replay
 from stepassist.harness.server import PipelineServer
 from stepassist.harness.client import stream_session
-from stepassist.metrics import MomentRecord, align, classification_metrics, overhead_metrics, sts
+from stepassist.metrics import MomentRecord, compute_metrics, sts
 from stepassist.motion import FlowConfig, estimate_flow
 from stepassist.perception import SamplerConfig
 from stepassist.reasoner import ExecutionStatus, OracleConfig, ReasonerOutput
@@ -403,21 +403,20 @@ def test_criterion_08_metric_hand_counts(verdict):
             moment(7.0, "A", "in_progress", False),
         ]
     )
-    four = classification_metrics(align(four_log, four_trace))
+    four = compute_metrics(four_log, four_trace)
     four_ok = four.acc_p == 0.75 and four.md == 1 / 3 and four.fd == 0.0
 
     twelve_trace = minimal_trace(TWELVE_SEGMENTS, TWELVE_INTERVALS)
     twelve_log = build_log(TWELVE_MOMENTS, extra_sampled=TWELVE_EXTRA_SAMPLED)
-    twelve = classification_metrics(align(twelve_log, twelve_trace))
-    overhead = overhead_metrics(twelve_log, twelve_trace)
+    twelve = compute_metrics(twelve_log, twelve_trace)
     twelve_ok = (
         twelve.step_acc == 8 / 10
         and twelve.status_acc == 9 / 10
         and twelve.acc_p == 11 / 12
         and twelve.md == 0.0
         and twelve.fd == 1 / 8
-        and overhead.inference_ratio == 12 / 20
-        and overhead.hit_rate == 4 / 12
+        and twelve.inference_ratio == 12 / 20
+        and twelve.hit_rate == 4 / 12
     )
     ok = four_ok and twelve_ok
     verdict(

@@ -10,9 +10,7 @@ from stepassist.metrics import (
     METRIC_NAMES,
     MomentRecord,
     align,
-    classification_metrics,
     compute_metrics,
-    overhead_metrics,
     sts,
 )
 from stepassist.trace.types import (
@@ -132,6 +130,7 @@ def twelve_fixture():
         (REASONED, {"proactive": 0}, "proactive must be a boolean, got 0"),
         (REASONED, {"step": 5}, "step must be a string, got 5"),
         (REASONED, {"status": None}, "status must be a string, got None"),
+        (REASONED, {"status": "done"}, "unknown execution status 'done'"),
         (DELIVERY, {"deliver": "no"}, "deliver must be a boolean, got 'no'"),
     ],
 )
@@ -201,23 +200,16 @@ def test_unannotated_moments_leave_accuracy_denominators():
 def test_accuracy_identity_links_the_three_decision_metrics():
     rng = random.Random(0)
     for _ in range(20):
-        records = [
-            MomentRecord(
-                timestamp=float(i),
-                pred_step="A",
-                pred_status=IP,
-                pred_proactive=rng.random() < 0.5,
-                delivered=False,
-                gt_step="A",
-                gt_status=IP,
-                annotated=True,
-                need=rng.random() < 0.5,
-                interval_id=None,
-            )
-            for i in range(50)
-        ]
-        m = classification_metrics(records)
-        c = m.counts
+        needed = [i for i in range(50) if rng.random() < 0.5]
+        trace = minimal_trace(
+            [StepSegment(0.0, 50.0, "A", IP)],
+            [ProactiveInterval(float(i), i + 0.5, "A") for i in needed],
+        )
+        log = build_log(
+            [moment(float(i), "A", "in_progress", rng.random() < 0.5) for i in range(50)]
+        )
+        c = compute_metrics(log, trace).counts
+        assert c["need_moments"] == len(needed)
         assert c["proactive_correct"] == c["moments"] - (c["missed"] + c["false_alarms"])
 
 
@@ -289,29 +281,36 @@ def test_overhead_ratios():
         log.append(SAMPLED_PAIR, t, pair=k)
         if t in reason_times:
             log.append(REASONED, t, step="A", status="in_progress", proactive=False)
-    overhead = overhead_metrics(log, trace)
-    assert overhead.inference_ratio == 0.2
-    assert overhead.hit_rate == 0.6
-    assert overhead.counts == {
+    report = compute_metrics(log, trace)
+    assert report.inference_ratio == 0.2
+    assert report.hit_rate == 0.6
+    assert {key: report.counts[key] for key in
+            ("sampled_pairs", "reasoned_moments", "reasoned_in_interval")} == {
         "sampled_pairs": 100,
         "reasoned_moments": 20,
         "reasoned_in_interval": 12,
     }
 
 
-def test_overhead_requires_sampled_pairs():
+def test_overhead_undefined_without_sampled_pairs():
     trace = minimal_trace([StepSegment(0.0, 1.0, "A", IP)], [])
-    with pytest.raises(ValueError):
-        overhead_metrics(EventLog(), trace)
+    log = EventLog()
+    log.append(REASONED, 0.5, step="A", status="in_progress", proactive=False)
+    report = compute_metrics(log, trace)
+    assert report.step_acc == 1.0 and report.counts["moments"] == 1
+    assert report.inference_ratio is None
+    assert report.hit_rate is None
+    for key in ("sampled_pairs", "reasoned_moments", "reasoned_in_interval"):
+        assert key not in report.counts, key
 
 
 def test_overhead_hit_rate_undefined_without_reasoning():
     trace = minimal_trace([StepSegment(0.0, 1.0, "A", IP)], [])
     log = EventLog()
     log.append(SAMPLED_PAIR, 0.0, pair=0)
-    overhead = overhead_metrics(log, trace)
-    assert overhead.inference_ratio == 0.0
-    assert overhead.hit_rate is None
+    report = compute_metrics(log, trace)
+    assert report.inference_ratio == 0.0
+    assert report.hit_rate is None
 
 
 # -- aggregation ----------------------------------------------------------------

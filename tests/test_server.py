@@ -679,12 +679,27 @@ def nan_fifth_time(events):
     events[5]["t"] = math.nan  # json writes the non-JSON literal NaN, and reads it back
 
 
+def fifth_time_before_fourth(events):
+    events[5]["t"] = events[4]["t"] - 1.0
+
+
+def bogus_fifth_kind(events):
+    events[5]["kind"] = "bogus"
+
+
+def first_status_done(events):
+    next(ev for ev in events if ev["kind"] == "reasoned")["data"]["status"] = "done"
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
         (drop_first_kind, "report.json: event 0 missing key 'kind'"),
         (proactive_as_text, "proactive must be a boolean, got 'no'"),
-        (nan_fifth_time, "report.json: event time must be finite, got nan"),
+        (nan_fifth_time, "report.json: event 5: event time must be finite, got nan"),
+        (fifth_time_before_fourth, "report.json: event 5: event timestamps must be non-decreasing"),
+        (bogus_fifth_kind, "report.json: event 5: unknown event kind 'bogus'"),
+        (first_status_done, "unknown execution status 'done'"),
     ],
 )
 def test_cli_eval_refuses_a_damaged_report(tmp_path, capsys, session_dir, report_dir,
@@ -694,7 +709,8 @@ def test_cli_eval_refuses_a_damaged_report(tmp_path, capsys, session_dir, report
     assert main(["eval", "--report", str(report), "--session", str(session_dir)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("stepassist: error: ") and message in captured.err
+    # a fault found while loading or while scoring names the file
+    assert captured.err.startswith(f"stepassist: error: {report}: ") and message in captured.err
     assert len(captured.err.splitlines()) == 1
 
 
