@@ -70,7 +70,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     script = standard_script(seed=args.seed)
     trace = generate_synthetic(script)
     root = write_session(trace, args.out)
-    pairs = len(trace.pairs())
+    pairs = len(trace.frames) // 2  # the generator records whole pairs
     print(f"wrote session to {root} ({pairs} pairs, {len(trace.imu)} imu samples, "
           f"{trace.duration}s)")
     return 0

@@ -23,9 +23,24 @@ candidate's bound is strictly greater, so its cost exceeds the incumbent,
 which is at least the minimum: every candidate tied for the minimum is
 costed, and the tie-break sees them all.
 
+The arithmetic is exact in narrow types. A block has n = block^2 pixels and
+``FlowConfig`` caps block at 256, so every SAD and every window sum is at
+most n * 255 < 2^24. A frame is read as packed rows: an element is one
+window row of ``block`` bytes, and the elements step one byte along the
+frame and one frame row down a window, so one fancy index gathers whole
+windows and ``.view(np.uint8)`` lays each out as n bytes. Block pixels stay
+uint8, |a - b| is max - min in uint8, and each window's differences are
+summed by a float32 product with a vector of ones: every partial sum is an
+integer below 2^24, so each is exact whatever the order of the additions.
+Window sums, bounds and costs are int32; a candidate outside the frame has
+the window sum 2^31 - 1, so its bound, over 2^31 - 1 - 2^24, exceeds every
+cost. A block's bounds are gathered the same way, its (2r + 1)^2 window sums
+as 2r + 1 packed rows of the sum grid, and put in tie-break order by one
+take.
+
 A call's index tables come from a plan cached per search geometry: the
-block origins, each candidate's step in the padded window-sum grid and in
-the frame, and a block's pixel offsets. The key is everything the tables
+block origins, each block's corner in the padded window-sum grid, and each
+candidate's step in the frame. The key is everything the tables
 depend on: region size, block, radius, search-area shape, the region's
 offset in that area, and frame width; so every interior hand box of one size
 shares a plan. Each table is O(blocks + candidates), never one entry per
@@ -42,12 +57,13 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .trace.types import FrameRecord
 
 # blocks with intensity variance below this are treated as untextured
 LOW_TEXTURE_VARIANCE = 1
+# largest block side: MAX_BLOCK^2 * 255 < 2^24
+MAX_BLOCK = 256
 
 Region = tuple[int, int, int, int]  # x, y, w, h
 
@@ -60,6 +76,9 @@ class FlowConfig:
     def __post_init__(self) -> None:
         if self.block < 2:
             raise ValueError(f"block size must be at least 2, got {self.block}")
+        if self.block > MAX_BLOCK:
+            # keeps every SAD and window sum below 2^24 (see the module docstring)
+            raise ValueError(f"block size must be at most {MAX_BLOCK}, got {self.block}")
         if self.search_radius < 1:
             raise ValueError(f"search radius must be at least 1, got {self.search_radius}")
 
@@ -93,29 +112,33 @@ def _block_starts(extent: int, block: int) -> np.ndarray:
 _CHUNK_BLOCKS = 64
 _GATHER = 1024
 _SEEDS = 4
-# window sum given to a candidate outside the frame: its bound exceeds any cost
-_OUTSIDE = 1 << 62
+# window sum given to a candidate outside the frame (int32's largest): its
+# bound exceeds any cost
+_OUTSIDE = 2**31 - 1
 
 
 @functools.lru_cache(maxsize=8)
-def _candidates(radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every displacement within ``radius``, in tie-break order (|d|^2, dx, dy)."""
+def _candidates(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every displacement within ``radius``, in tie-break order (|d|^2, dx, dy).
+
+    Returns dx, dy and each one's place in the row-major raster of the
+    (2 * radius + 1)^2 displacements, dy-major.
+    """
     side = np.arange(-radius, radius + 1)
-    dx, dy = np.repeat(side, side.size), np.tile(side, side.size)
+    dy, dx = np.repeat(side, side.size), np.tile(side, side.size)
     order = np.lexsort((dy, dx, dx * dx + dy * dy))
     dx, dy = dx[order], dy[order]
-    dx.flags.writeable = dy.flags.writeable = False
-    return dx, dy
+    for table in (dx, dy, order):
+        table.flags.writeable = False
+    return dx, dy, order
 
 
 @dataclass(frozen=True)
 class _Plan:
     """Index tables for one search geometry, each O(blocks + candidates)."""
 
-    pixels: np.ndarray  # a block's pixels, as flat frame offsets from its origin
     origins: np.ndarray  # block origins, as flat frame offsets from the area's origin
-    at: np.ndarray  # each block's (0, 0) candidate in the padded window-sum grid
-    step: np.ndarray  # each candidate's offset from there in the grid, in tie-break order
+    corner: np.ndarray  # each block's (-r, -r) candidate in the padded window-sum grid
     shift: np.ndarray  # each candidate's offset in the frame, in tie-break order
 
 
@@ -125,17 +148,14 @@ def _plan(h: int, w: int, block: int, radius: int, area_h: int, area_w: int,
     """Tables for an h x w region at (off_y, off_x) in an area_h x area_w search area."""
     by, bx = _block_starts(h, block), _block_starts(w, block)
     oy, ox = np.repeat(by, bx.size) + off_y, np.tile(bx, by.size) + off_x
-    row = np.arange(block)
     grid_w = area_w - block + 1 + 2 * radius  # as _window_sums pads it
-    cdx, cdy = _candidates(radius)
+    cdx, cdy, _ = _candidates(radius)
     plan = _Plan(
-        pixels=(row[:, None] * frame_w + row).ravel(),
         origins=oy * frame_w + ox,
-        at=(oy + radius) * grid_w + ox + radius,
-        step=cdy * grid_w + cdx,
+        corner=oy * grid_w + ox,
         shift=cdy * frame_w + cdx,
     )
-    for table in (plan.pixels, plan.origins, plan.at, plan.step, plan.shift):
+    for table in (plan.origins, plan.corner, plan.shift):
         table.flags.writeable = False
     return plan
 
@@ -160,14 +180,29 @@ def _run_sums(a: np.ndarray, length: int) -> np.ndarray:
 def _window_sums(area: np.ndarray, block: int, pad: int) -> np.ndarray:
     """Sums of every block-sized window of ``area``, padded with ``_OUTSIDE``."""
     h, w = area.shape
-    cells = np.zeros((h + 1, w), np.int64)  # a zero row keeps the last flat runs in bounds
+    cells = np.zeros((h + 1, w), np.int32)  # a zero row keeps the last flat runs in bounds
     cells[:h] = area
     cols = _run_sums(cells, block)
     # runs along the flat array; those that cross a row end are never read
     rows = _run_sums(cols.ravel(), block)[: (h - block + 1) * w].reshape(h - block + 1, w)
-    sums = np.full((h - block + 1 + 2 * pad, w - block + 1 + 2 * pad), _OUTSIDE, np.int64)
+    sums = np.full((h - block + 1 + 2 * pad, w - block + 1 + 2 * pad), _OUTSIDE, np.int32)
     sums[pad : pad + h - block + 1, pad : pad + w - block + 1] = rows[:, : w - block + 1]
     return sums
+
+
+def _windows(flat: np.ndarray, side: int, row_w: int) -> np.ndarray:
+    """Every side x side window of a grid read flat: ``windows[p]`` is the one at ``p``.
+
+    ``flat`` holds the grid's entries from some origin on, ``row_w`` to a
+    row, and ``p`` runs to the last window whose rows all lie in ``flat``.
+    An element is one window row as raw bytes (a packed row), so one fancy
+    index gathers whole windows, and ``.view(flat.dtype)`` lays each out
+    flat, row-major.
+    """
+    size = flat.itemsize
+    return np.ndarray((flat.size - (side - 1) * row_w - side + 1, side),
+                      np.dtype((np.void, side * size)),
+                      buffer=flat, strides=(size, row_w * size))
 
 
 def estimate_flow(
@@ -208,44 +243,46 @@ def estimate_flow(
     ah, aw = area.shape
     plan = _plan(h, w, bs, r, ah, aw, y - sy0, x - sx0, fw)
     # both frames read flat from the area's origin, so one offset finds a
-    # block in frame_a and its window in frame_b: windows[p] is the window at
-    # offset p, up to the area's last window (strides in bytes, one a pixel)
+    # block in frame_a and its window in frame_b
     base = sy0 * fw + sx0
-    a_flat, b_flat = frame_a.ravel()[base:], frame_b.ravel()[base:]
-    windows = as_strided(b_flat, ((ah - bs) * fw + aw - bs + 1, bs, bs), (1, fw, 1),
-                         writeable=False)
-    wflat = _window_sums(area, bs, r).ravel()
-    cdx, cdy = _candidates(r)
+    blocks_at = _windows(frame_a.ravel()[base:], bs, fw)
+    windows = _windows(frame_b.ravel()[base:], bs, fw)
+    sums_grid = _window_sums(area, bs, r)
+    # each block's (2r + 1)^2 window sums, one per candidate, as a raster
+    around = _windows(sums_grid.ravel(), 2 * r + 1, sums_grid.shape[1])
+    ones = np.ones(n, np.float32)
+    cdx, cdy, raster = _candidates(r)
     k_all = cdx.size
+
+    def cost(at: np.ndarray, blk: np.ndarray) -> np.ndarray:
+        """SAD of the windows at flat offsets ``at`` against block pixels ``blk``."""
+        win = windows[at].view(np.uint8)
+        diff = np.maximum(win, blk)
+        diff -= np.minimum(win, blk, out=win)  # |a - b| in uint8
+        return (diff.astype(np.float32) @ ones).astype(np.int32)  # exact below 2^24
 
     used = sum_dx = sum_dy = 0
     for c0 in range(0, plan.origins.size, _CHUNK_BLOCKS):
         origins = plan.origins[c0 : c0 + _CHUNK_BLOCKS]
-        blocks = np.take(a_flat, origins[:, None] + plan.pixels).astype(np.int16)
+        blocks = blocks_at[origins].view(np.uint8)
         sums = blocks.sum(axis=1, dtype=np.int64)
         # n^2 * variance, exact in integers
         spread = n * np.square(blocks, dtype=np.int64).sum(axis=1) - sums * sums
         rows = np.flatnonzero(spread >= limit)
         if not rows.size:
             continue
-        blocks, sums, sel = blocks[rows].reshape(-1, bs, bs), sums[rows], c0 + rows
-        at, origins = plan.at[sel], origins[rows]
+        blocks, sums, sel = blocks[rows], sums[rows].astype(np.int32), c0 + rows
+        origins = origins[rows]
         used += sel.size
 
-        def cost(row: np.ndarray, cand: np.ndarray) -> np.ndarray:
-            win = windows[origins[row] + plan.shift[cand]].astype(np.int16)
-            win -= blocks[row]
-            np.abs(win, out=win)
-            return win.sum(axis=(-2, -1), dtype=np.int64)
-
         # successive elimination: |sum(block) - sum(window)| <= SAD
-        bound = np.take(wflat, at[:, None] + plan.step)
+        bound = np.take(around[plan.corner[sel]].view(np.int32), raster, axis=1)
         bound -= sums[:, None]
         np.abs(bound, out=bound)
         line = np.arange(sel.size)
         first = bound.argmin(axis=1)  # never outside the frame: (0, 0) is not
         least = bound[line, first]
-        incumbent = cost(line, first)
+        incumbent = cost(origins + plan.shift[first], blocks)
         if not (incumbent > least).any():
             # each block's least-bound candidate costs its bound, and no
             # candidate costs less than its own bound; argmin returns the
@@ -256,7 +293,7 @@ def estimate_flow(
             # smallest-bound candidates may lower the incumbent (a few
             # argmins cost less than argpartition)
             seeds = np.zeros((_SEEDS, sel.size), np.intp)  # row 0 is (0, 0)
-            held = np.zeros(seeds.shape, np.int64)
+            held = np.zeros(seeds.shape, np.int32)
             bound[line, first] = _OUTSIDE
             for j in range(1, _SEEDS):
                 seeds[j] = bound.argmin(axis=1)
@@ -265,7 +302,8 @@ def estimate_flow(
             bound[line, first] = least
             bound[line, seeds[1:]] = held[1:]  # the seeds of a row are distinct
             seeds[held >= _OUTSIDE // 2] = 0  # a seed outside the frame: (0, 0) again
-            incumbent = np.minimum(incumbent, cost(line, seeds).min(axis=0))
+            seeded = cost(origins + plan.shift[seeds], blocks)
+            incumbent = np.minimum(incumbent, seeded.min(axis=0))
             # a pruned candidate costs more than the incumbent, so more than
             # the minimum: every candidate tied for the minimum is kept
             flat = np.flatnonzero(bound <= incumbent[:, None])
@@ -273,7 +311,9 @@ def estimate_flow(
             key = np.empty(flat.size, np.int64)
             for g0 in range(0, flat.size, _GATHER):
                 part = slice(g0, g0 + _GATHER)
-                key[part] = cost(flat[part] // k_all, cand[part])
+                row = flat[part] // k_all
+                key[part] = cost(origins[row] + plan.shift[cand[part]],
+                                 np.take(blocks, row, axis=0))
             # least (cost, order position) per block: the tie-break of the order
             key *= k_all
             key += cand

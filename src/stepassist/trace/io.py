@@ -12,12 +12,16 @@ directory that fails validation; ``validate_session`` reports every violation
 it can find instead of stopping at the first. The header and annotation
 codecs serve the wire's ``session_start`` too. JSON fields are read by
 ``jsontext.field``; only the text cells of ``imu.csv`` are parsed as numbers.
+A loaded frame is a read-only view of its file's bytes.
 """
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
+import stat
 from pathlib import Path
 from typing import Any
 
@@ -172,6 +176,34 @@ def _fail(path: Path | str, reason: str, line: int | None = None) -> None:
     raise SessionFormatError(f"{where}: {reason}")
 
 
+# open errors that Path.is_file reads as "no file there"
+_NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+
+
+def _read_file(path: str) -> bytes | None:
+    """The bytes of the regular file at ``path``, or None where ``Path.is_file`` is false.
+
+    One open, and the file's type read from it: no second look-up of the
+    path, and a FIFO or a device is refused without blocking or reading on
+    without end.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO opens without a writer
+    except OSError as exc:
+        if exc.errno in _NO_FILE:
+            return None
+        raise
+    except ValueError:  # a name the system cannot take
+        return None
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            return None
+        with open(fd, "rb", closefd=False) as fh:
+            return fh.read()
+    finally:
+        os.close(fd)
+
+
 def _load_json(path: Path) -> Any:
     if not path.is_file():
         _fail(path, "missing file")
@@ -252,7 +284,8 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
         if not (isinstance(boxes, list) and all(isinstance(box, dict) for box in boxes)):
             raise ValueError(f"{where} must be a JSON array of JSON objects")
         hand_boxes[pid] = [
-            {k: field(box, k, tp, where) for k, tp in HAND_BOX_FIELDS.items() if k in box}
+            {k: v if type(v := box[k]) is tp else field(box, k, tp, where)
+             for k, tp in HAND_BOX_FIELDS.items() if k in box}
             for box in boxes
         ]
     return {"segments": segments, "proactive_intervals": intervals, "hand_boxes": hand_boxes}
@@ -283,18 +316,19 @@ def load_session(path: str | Path) -> SessionTrace:
         _fail(manifest_path, str(report))
 
     frames: list[FrameRecord] = []
+    root_name = str(root)
     for i, entry in enumerate(entries):
         try:
             t, pair_id, slot, file = fields(entry, FRAME_FIELDS, f"frame entry {i}")
         except ValueError as exc:
             _fail(manifest_path, str(exc))
-        frame_path = root / file
-        if not frame_path.is_file():
-            _fail(frame_path, "missing file")
+        data = _read_file(os.path.join(root_name, file))
+        if data is None:
+            _fail(root / file, "missing file")
         try:
-            image = read_pgm(frame_path.read_bytes())
+            image = read_pgm(data)
         except ValueError as exc:
-            _fail(frame_path, str(exc))
+            _fail(root / file, str(exc))
         try:
             frames.append(FrameRecord(t, pair_id, slot, image))
         except ValueError as exc:

@@ -24,7 +24,11 @@ def write_pgm(image: np.ndarray) -> bytes:
 
 
 def read_pgm(data: bytes) -> np.ndarray:
-    """Decode binary PGM (P5) bytes into a (height, width) uint8 array."""
+    """Decode binary PGM (P5) bytes into a (height, width) uint8 array.
+
+    The array is a view of ``data``, read-only when ``data`` is ``bytes``:
+    the raster is not copied, and a write to a loaded frame raises.
+    """
     if data[:2] != b"P5":
         raise ValueError("not a PGM image (expected P5 magic)")
     header = _HEADER.match(data)
@@ -35,7 +39,9 @@ def read_pgm(data: bytes) -> np.ndarray:
         raise ValueError(f"unsupported PGM maxval {maxval} (expected 255)")
     if w <= 0 or h <= 0:
         raise ValueError(f"bad PGM dimensions {w}x{h}")
-    raster = data[header.end() : header.end() + w * h]
-    if len(raster) != w * h:
+    end = header.end() + w * h
+    if len(data) < end:
         raise ValueError("PGM raster shorter than header promises")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
+    if len(data) > end:
+        data = data[:end]  # the view would keep trailing bytes alive with the frame
+    return np.frombuffer(data, np.uint8, count=w * h, offset=header.end()).reshape(h, w)

@@ -139,20 +139,6 @@ class SessionTrace:
         """Timestamp of the last recorded frame (0.0 for an empty frame stream)."""
         return self.frames[-1].timestamp if self.frames else 0.0
 
-    def pairs(self) -> list[FramePair]:
-        """Group frames into (a, b) pairs ordered by time."""
-        by_id: dict[int, dict[str, FrameRecord]] = {}
-        for fr in self.frames:
-            by_id.setdefault(fr.pair_id, {})[fr.slot] = fr
-        out = []
-        for pid in sorted(by_id):
-            slots = by_id[pid]
-            if "a" not in slots or "b" not in slots:
-                raise ValueError(f"frame pair {pid} is missing slot 'a' or 'b'")
-            out.append(FramePair(pid, slots["a"].timestamp, slots["a"], slots["b"]))
-        out.sort(key=lambda p: p.t)
-        return out
-
     def segment_at(self, t: float) -> StepSegment | None:
         for seg in self.segments:
             if seg.contains(t):

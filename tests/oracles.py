@@ -1,5 +1,6 @@
 """Test-only oracles and scripts that the program itself never runs.
 
+``trace_pairs`` groups a recorded session's frames into pairs by id, and
 ``run_sampler`` walks the sampling schedule over a whole recorded session
 without the engine, so tests can check the engine's causal, windowed
 schedule against it. ``inferred_step_sequence`` reads the checker's step
@@ -32,7 +33,7 @@ from stepassist.trace.synthetic import (
     StepPlan,
     SyntheticScript,
 )
-from stepassist.trace.types import ExecutionStatus, FramePair, SessionTrace
+from stepassist.trace.types import ExecutionStatus, FramePair, FrameRecord, SessionTrace
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,21 @@ class ScheduledSample:
     pair: FramePair | None
 
 
+def trace_pairs(trace: SessionTrace) -> list[FramePair]:
+    """Group frames into (a, b) pairs ordered by time."""
+    by_id: dict[int, dict[str, FrameRecord]] = {}
+    for fr in trace.frames:
+        by_id.setdefault(fr.pair_id, {})[fr.slot] = fr
+    out = []
+    for pid in sorted(by_id):
+        slots = by_id[pid]
+        if "a" not in slots or "b" not in slots:
+            raise ValueError(f"frame pair {pid} is missing slot 'a' or 'b'")
+        out.append(FramePair(pid, slots["a"].timestamp, slots["a"], slots["b"]))
+    out.sort(key=lambda p: p.t)
+    return out
+
+
 def run_sampler(trace: SessionTrace, cfg: SamplerConfig) -> list[ScheduledSample]:
     """Walk the sampling schedule over a whole recorded session.
 
@@ -52,7 +68,7 @@ def run_sampler(trace: SessionTrace, cfg: SamplerConfig) -> list[ScheduledSample
     timestamp. Each scheduled time is bound to the nearest recorded pair
     within half the session's pair gap.
     """
-    pairs = trace.pairs()
+    pairs = trace_pairs(trace)
     pair_times = [p.t for p in pairs]
     out: list[ScheduledSample] = []
     state = SamplerState()

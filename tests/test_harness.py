@@ -74,7 +74,7 @@ from stepassist.trace.types import (
 )
 
 from conftest import dead_endpoint, fixture_config, hanging_endpoint
-from oracles import run_sampler
+from oracles import run_sampler, trace_pairs
 from test_reasoner import MockChat, content_reply
 
 IP = ExecutionStatus.IN_PROGRESS
@@ -460,7 +460,7 @@ def test_windowed_engine_schedules_like_the_full_trace_sampler(case):
         for s in run_sampler(session, sampler)
     ]
     assert schedule_outcomes(log) == expected
-    assert engine.pair_count == len(session.pairs())
+    assert engine.pair_count == len(trace_pairs(session))
 
 
 def test_a_repeated_imu_timestamp_counts_whatever_the_stream_order():

@@ -19,6 +19,7 @@ from stepassist import motion
 from stepassist.trace.types import FrameRecord
 
 from conftest import FIXTURE_RADIUS
+from oracles import trace_pairs
 
 
 # Reference implementation, written before the module under test: exhaustive
@@ -108,10 +109,12 @@ def test_matches_oracle_on_region_with_flat_patches():
 
 
 PAD = 6  # the largest drawn search radius
+TEXTURES = ["noise", "two-level", "stripes", "near-flat", "extremes"]
 
 
 def texture(rng, kind, height, width):
-    """A uint8 frame of one texture family: the families stress ties and the texture test."""
+    """A uint8 frame of one texture family: the families stress ties, the texture test,
+    and the largest sums the kernel's narrow types hold."""
     if kind == "noise":
         return rng.integers(0, 256, (height, width), dtype=np.uint8)
     if kind == "two-level":  # tie-heavy; a step of 2 puts block variances at or below 1.0
@@ -121,17 +124,39 @@ def texture(rng, kind, height, width):
         ax, ay = [(1, 0), (0, 1), (1, 1)][rng.integers(0, 3)]
         phase = np.arange(width)[None, :] * ax + np.arange(height)[:, None] * ay
         return (phase % rng.integers(2, 5) * rng.choice([1, 2, 60])).astype(np.uint8)
+    if kind == "extremes":  # 0 and 255 in square tiles: windows of all 255, SADs of n * 255
+        cell = rng.integers(1, 21)
+        tiles = rng.integers(0, 2, (height // cell + 1, width // cell + 1), dtype=np.uint8) * 255
+        return np.repeat(np.repeat(tiles, cell, axis=0), cell, axis=1)[:height, :width]
     # near-flat: a constant plus small steps, block variances around 1.0
     spread = rng.integers(2, 4)
     return (rng.integers(0, 250) + rng.integers(0, spread + 1, (height, width))).astype(np.uint8)
 
 
+def laid_out(frame, layout):
+    """The same pixels in another memory layout: the kernel reads frames as raw bytes."""
+    if layout == "contiguous":
+        return np.ascontiguousarray(frame)
+    if layout == "read-only":
+        frame = frame.copy()
+        frame.flags.writeable = False
+        return frame
+    if layout == "every other column":
+        wide = np.zeros((frame.shape[0], 2 * frame.shape[1]), np.uint8)
+        wide[:, ::2] = frame
+        return wide[:, ::2]
+    return frame  # as drawn
+
+
+LAYOUTS = ["as drawn", "contiguous", "read-only", "every other column"]
+
+
 @st.composite
 def flow_cases(draw):
-    block = draw(st.integers(2, 8))
+    block = draw(st.integers(2, 16))
     cfg = FlowConfig(block=block, search_radius=draw(st.integers(1, PAD)))
     height, width = draw(st.integers(block, 40)), draw(st.integers(block, 40))
-    kind = draw(st.sampled_from(["noise", "two-level", "stripes", "near-flat"]))
+    kind = draw(st.sampled_from(TEXTURES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     master = texture(rng, kind, height + 2 * PAD, width + 2 * PAD)
     a = master[PAD : PAD + height, PAD : PAD + width]
@@ -140,6 +165,9 @@ def flow_cases(draw):
         b = master[PAD - dy : PAD - dy + height, PAD - dx : PAD - dx + width]
     else:  # no true match
         b = texture(rng, kind, height, width)
+    if kind == "extremes" and draw(st.booleans()):
+        b = ~b  # the negative: a match, if any, now costs n * 255
+    a, b = (laid_out(f, draw(st.sampled_from(LAYOUTS))) for f in (a, b))
     region = None  # the full frame touches every border
     if draw(st.booleans()):
         x, y = draw(st.integers(0, width - block)), draw(st.integers(0, height - block))
@@ -194,6 +222,20 @@ def test_matches_oracle_at_the_benchmark_geometry():
     # the plans are cached, and the cache is bounded
     assert motion._plan.cache_info().hits > 0
     assert motion._plan.cache_info().maxsize is not None
+
+
+def test_costs_stay_exact_at_the_largest_block():
+    # one 256 px block with two candidates, costing n * 255 and n * 255 - 1
+    # (n = 256^2): the largest SAD of any accepted config, and one below it
+    rows = np.random.default_rng(7).integers(0, 2, (256, 1), dtype=np.uint8) * 255
+    a = np.repeat(rows, 257, axis=1)  # textured down the block, constant along it
+    b = ~a
+    b[0, 256] ^= 1  # only the (1, 0) window holds this pixel: it differs by 254
+    cfg = FlowConfig(block=256, search_radius=1)
+    flow = estimate_flow(a, b, (0, 0, 256, 256), cfg)
+    assert (flow.dx, flow.dy, flow.blocks_used) == (1.0, 0.0, 1)
+    assert (flow.dx, flow.dy, flow.blocks_used, flow.blocks_total) == oracle_flow(
+        a, b, (0, 0, 256, 256), cfg)
 
 
 def test_variance_at_the_threshold_counts_as_textured():
@@ -274,7 +316,7 @@ def test_grid_includes_clamped_tail_blocks():
 
 
 def test_region_flow_processes_fewer_pixels_than_full_frame(standard_trace):
-    pair = standard_trace.pairs()[3]
+    pair = trace_pairs(standard_trace)[3]
     detector = AnnotationDetector(standard_trace.hand_boxes)
     boxes = detect_hands(pair.frame_a, detector)
     assert [b.side for b in boxes] == ["left", "right"]
@@ -302,6 +344,9 @@ def test_estimate_flow_rejects_bad_inputs():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(block=1)
+    assert FlowConfig(block=256).block == 256
+    with pytest.raises(ValueError, match="block size must be at most 256, got 257"):
+        FlowConfig(block=257)
     with pytest.raises(ValueError):
         FlowConfig(search_radius=0)
 
@@ -373,12 +418,12 @@ def test_detector_failure_carries_timestamp():
 
 
 def test_null_detector_detects_nothing(standard_trace):
-    pair = standard_trace.pairs()[0]
+    pair = trace_pairs(standard_trace)[0]
     assert detect_hands(pair.frame_a, NullDetector()) == []
 
 
 def test_synthetic_detector_finds_scripted_patches(steady_trace):
-    pair = steady_trace.pairs()[10]
+    pair = trace_pairs(steady_trace)[10]
     boxes = detect_hands(pair.frame_a, SyntheticDetector())
     want = steady_trace.hand_boxes[pair.pair_id]
     assert len(boxes) == len(want) == 1

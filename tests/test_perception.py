@@ -19,7 +19,7 @@ from stepassist.trace.synthetic import generate_synthetic, standard_script
 from stepassist.trace.types import FramePair, FrameRecord, ImuSample
 
 from conftest import FIXTURE_RADIUS, FIXTURE_SMOOTHING
-from oracles import run_sampler
+from oracles import run_sampler, trace_pairs
 
 
 def imu_stream(magnitudes, period=0.25):
@@ -244,7 +244,7 @@ def test_stationary_hand_is_not_a_key_moment():
 
 def test_trigger_is_the_largest_hand_magnitude(standard_trace):
     # at t=4.5 the left hand moves (12, 0) and the right hand (0, 12)
-    pair = standard_trace.pairs()[9]
+    pair = trace_pairs(standard_trace)[9]
     boxes = [
         HandBox(str(b["side"]), int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"]))
         for b in standard_trace.hand_boxes[pair.pair_id]

@@ -25,7 +25,7 @@ from stepassist.reasoner import flag_off_guideline
 from stepassist.trace.pgm import read_pgm
 import base64
 
-from oracles import json_values, or_any, same, too_deep, with_too_deep
+from oracles import json_values, or_any, same, too_deep, trace_pairs, with_too_deep
 
 
 FRAME = np.zeros((4, 6), dtype=np.uint8)
@@ -192,7 +192,7 @@ def test_flag_off_guideline():
 
 def test_noiseless_oracle_plays_back_ground_truth(standard_trace):
     oracle = OracleReasoner.from_trace(standard_trace)
-    for pair in standard_trace.pairs():
+    for pair in trace_pairs(standard_trace):
         out = oracle.reason_at(pair.t)
         seg = standard_trace.segment_at(pair.t)
         if seg is None:  # the final pair sits just past the half-open segments

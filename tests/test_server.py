@@ -40,6 +40,7 @@ from stepassist.trace.synthetic import (
 from stepassist.trace.types import ExecutionStatus, ProactiveInterval
 
 from conftest import dead_endpoint, fixture_config, hanging_endpoint
+from oracles import trace_pairs
 from test_harness import interleaved_trace, shelf_script
 
 SEGMENT_ANN = {
@@ -117,10 +118,10 @@ def test_streamed_session_matches_batch_replay(server):
     assert [
         (a["t"], a["step"], a["status"], a["text"]) for a in result.assists
     ] == delivered(batch_log)
-    assert result.pair_acks == len(trace.pairs())
+    assert result.pair_acks == len(trace_pairs(trace))
     assert result.errors == []
     assert result.end_counts == {
-        "pairs": len(trace.pairs()),
+        "pairs": len(trace_pairs(trace)),
         "sampled_pairs": len(batch_log.of_kind(SAMPLED_PAIR)),
         "key_moments": len(batch_log.of_kind(KEY_MOMENT)),
         "reasoned": len(batch_log.of_kind(REASONED)),
@@ -393,7 +394,7 @@ def test_clients_that_reset_end_their_handlers_quietly(server, monkeypatch):
     assert len(closed) == 5 and faults == []
 
     result = stream_session(trace, *server.address, session_id="after-resets")
-    assert result.errors == [] and result.pair_acks == len(trace.pairs())
+    assert result.errors == [] and result.pair_acks == len(trace_pairs(trace))
 
 
 def test_second_session_start_is_refused_while_open(server):
@@ -586,7 +587,7 @@ def assert_each_moment_dropped(reasoner: ReasonerSpec):
         result = stream_session(trace, host, port, session_id="dead")
     counts = result.end_counts
     assert result.errors == [] and result.assists == []
-    assert result.pair_acks == len(trace.pairs())
+    assert result.pair_acks == len(trace_pairs(trace))
     assert counts["key_moments"] > 0
     assert counts["errors"] == counts["key_moments"]
     assert counts["reasoned"] == counts["deliveries"] == 0

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from stepassist.trace.types import (
     StepSegment,
 )
 
-from oracles import steady_script, too_deep
+from oracles import steady_script, too_deep, trace_pairs
 
 
 def small_script(**overrides):
@@ -65,6 +66,16 @@ def test_pgm_round_trip():
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, size=(17, 23), dtype=np.uint8)
     assert np.array_equal(read_pgm(write_pgm(img)), img)
+
+
+def test_pgm_image_is_a_read_only_view_without_the_trailing_bytes():
+    img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    image = read_pgm(write_pgm(img) + bytes(1 << 20))
+    assert np.array_equal(image, img) and not image.flags.writeable
+    owner = image
+    while not isinstance(owner, bytes):
+        owner = owner.base
+    assert len(owner) == len(write_pgm(img))  # the megabyte after the raster is not held
 
 
 def test_pgm_refuses_ascii_p2():
@@ -319,6 +330,34 @@ def test_load_rejects_missing_frame_file(tmp_path):
         load_session(root)
 
 
+def test_loaded_frames_are_read_only(tmp_path):
+    root = write_session(generate_synthetic(small_script()), tmp_path / "sess")
+    image = load_session(root).frames[0].image
+    assert not image.flags.writeable
+    with pytest.raises(ValueError):
+        image[0, 0] = 1
+
+
+@pytest.mark.parametrize("kind", ["directory", "under-a-file", "fifo", "device"])
+def test_a_frame_path_that_is_not_a_regular_file_is_missing(tmp_path, kind):
+    # refused as it is named, without blocking on a FIFO or reading a device on without end
+    root = write_session(generate_synthetic(small_script()), tmp_path / "sess")
+    manifest = json.loads((root / "manifest.json").read_text())
+    name = {"directory": "frames", "under-a-file": "imu.csv/x.pgm", "fifo": "fifo.pgm",
+            "device": "/dev/zero"}[kind]
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        os.mkfifo(root / name)
+    elif kind == "device" and not os.path.exists(name):
+        pytest.skip("no /dev/zero on this platform")
+    manifest["frames"][0]["file"] = name
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SessionFormatError) as err:
+        load_session(root)
+    assert str(err.value) == f"{root / name}: missing file"
+
+
 # -- validation ------------------------------------------------------------
 
 
@@ -502,7 +541,7 @@ def test_standard_trace_shape(standard_trace):
     assert len(standard_trace.segments) == 24  # 6 steps x 4 phases
     assert len(standard_trace.proactive_intervals) == 12
     # every pair carries both scripted hand boxes
-    assert set(standard_trace.hand_boxes) == {p.pair_id for p in standard_trace.pairs()}
+    assert set(standard_trace.hand_boxes) == {p.pair_id for p in trace_pairs(standard_trace)}
     assert all(len(boxes) == 2 for boxes in standard_trace.hand_boxes.values())
 
 
