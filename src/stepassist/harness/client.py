@@ -76,6 +76,8 @@ def stream_session(
             try:
                 for raw in rfile:
                     msg = json.loads(raw.decode("utf-8"))
+                    if not isinstance(msg, dict):
+                        break  # not a message of the protocol: read as a torn-down connection
                     kind = msg.get("type")
                     if kind == "assist":
                         result.assists.append(msg)

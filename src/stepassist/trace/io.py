@@ -102,7 +102,7 @@ class StreamCheck:
 
         for pid, boxes in session.hand_boxes.items():
             for j, box in enumerate(boxes):
-                if not all(key in box for key in HAND_BOX_FIELDS):
+                if not box.keys() >= HAND_BOX_FIELDS.keys():
                     add("hand_box_keys", f"hand box {j} of pair {pid} missing keys")
                     continue
                 if box["side"] not in HAND_SIDES:
@@ -133,18 +133,17 @@ class StreamCheck:
 
     def frame(self, fr: FrameRecord) -> None:
         add, t, last = self.report.add, fr.timestamp, self.last_frame_t
-        where = f"frame {fr.pair_id}{fr.slot} at t={t}"
         self.last_frame_t = t
         if fr.image.shape != self._shape:
-            add("frame_geometry", f"{where} has geometry {fr.image.shape}, not {self._shape}")
+            add("frame_geometry", f"{_name(fr)} has geometry {fr.image.shape}, not {self._shape}")
         if not math.isfinite(t):
-            add("frame_nonfinite", f"{where} has a non-finite timestamp")
+            add("frame_nonfinite", f"{_name(fr)} has a non-finite timestamp")
         if t - (last or 0.0) > MAX_RECORD_GAP:
-            add("record_gap", f"{where} is over {MAX_RECORD_GAP}s after t={last or 0.0}")
+            add("record_gap", f"{_name(fr)} is over {MAX_RECORD_GAP}s after t={last or 0.0}")
         if t < 0:
-            add("negative_timestamp", f"{where} is before session start")
+            add("negative_timestamp", f"{_name(fr)} is before session start")
         if last is not None and t <= last:
-            add("frame_order", f"{where} is not strictly increasing past t={last}")
+            add("frame_order", f"{_name(fr)} is not strictly increasing past t={last}")
 
         # a pair is a slot a followed directly by its slot b, pair ids increasing
         first, self.waiting = self.waiting, None
@@ -152,19 +151,24 @@ class StreamCheck:
             add("incomplete_pair", f"pair {first.pair_id} has no slot b")
         if fr.slot == "a":
             if self._pair_id is not None and fr.pair_id <= self._pair_id:
-                add("duplicate_frame", f"{where} has a pair id not above {self._pair_id}")
+                add("duplicate_frame", f"{_name(fr)} has a pair id not above {self._pair_id}")
             self._pair_id, self.waiting = fr.pair_id, fr
         elif first is None or first.pair_id != fr.pair_id:
-            add("incomplete_pair", f"{where} got slot b before slot a, or not right after it")
+            add("incomplete_pair", f"{_name(fr)} got slot b before slot a, or not right after it")
         elif abs(t - first.timestamp - self._pair_gap) > PAIR_GAP_TOL:
             gap = t - first.timestamp
-            add("pair_gap", f"{where} is {gap:.6f}s after its slot a, not the pair gap "
+            add("pair_gap", f"{_name(fr)} is {gap:.6f}s after its slot a, not the pair gap "
                 f"{self._pair_gap}s (+/- {PAIR_GAP_TOL}s)")
 
     def end(self) -> None:
         """No record follows, so a waiting slot a never gets its slot b."""
         if self.waiting is not None:
             self.report.add("incomplete_pair", f"pair {self.waiting.pair_id} has no slot b")
+
+
+def _name(fr: FrameRecord) -> str:
+    """How a broken rule names its frame; written only for a fault."""
+    return f"frame {fr.pair_id}{fr.slot} at t={fr.timestamp}"
 
 
 class SessionFormatError(ValueError):
@@ -185,7 +189,8 @@ def _read_file(path: str) -> bytes | None:
 
     One open, and the file's type read from it: no second look-up of the
     path, and a FIFO or a device is refused without blocking or reading on
-    without end.
+    without end. The file is read with ``os.read`` up to its end, so a file
+    that grew after the ``fstat``, or a short read, is never cut off.
     """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO opens without a writer
@@ -196,10 +201,17 @@ def _read_file(path: str) -> bytes | None:
     except ValueError:  # a name the system cannot take
         return None
     try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
             return None
-        with open(fd, "rb", closefd=False) as fh:
-            return fh.read()
+        data = os.read(fd, st.st_size + 1)
+        # one byte finds the end without a buffer the size of the file; past the
+        # size, each read asks for as much again as is held, so growth costs linear time
+        size = 1
+        while more := os.read(fd, size):
+            data += more
+            size = len(data)
+        return data
     finally:
         os.close(fd)
 
@@ -219,6 +231,7 @@ HEADER_FIELDS = {"instruction": str, "width": int, "height": int, "pair_gap": fl
 FRAME_FIELDS = {"t": float, "pair": int, "slot": str, "file": str}
 SEGMENT_FIELDS = {"start": float, "end": float, "step": str, "status": str}
 INTERVAL_FIELDS = {"start": float, "end": float, "step": str}
+IMU_HEADER = ["timestamp", "gx", "gy", "gz"]
 
 
 def header_to_obj(trace: SessionTrace) -> dict[str, Any]:
@@ -277,14 +290,14 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
         except ValueError as exc:
             raise ValueError(f"proactive interval {i}: {exc}") from None
     hand_boxes: dict[int, list[dict[str, Any]]] = {}
+    # each entry is named, as hand_boxes[<key>], only where it is refused
     for key, boxes in field(obj, "hand_boxes", dict, default={}).items():
-        where = f"hand_boxes[{key!r}]"
         if not (key.isascii() and key.removeprefix("-").isdigit() and str(pid := int(key)) == key):
-            raise ValueError(f"{where}: the key is not a pair id")
+            raise ValueError(f"hand_boxes[{key!r}]: the key is not a pair id")
         if not (isinstance(boxes, list) and all(isinstance(box, dict) for box in boxes)):
-            raise ValueError(f"{where} must be a JSON array of JSON objects")
+            raise ValueError(f"hand_boxes[{key!r}] must be a JSON array of JSON objects")
         hand_boxes[pid] = [
-            {k: v if type(v := box[k]) is tp else field(box, k, tp, where)
+            {k: v if type(v := box[k]) is tp else field(box, k, tp, f"hand_boxes[{key!r}]")
              for k, tp in HAND_BOX_FIELDS.items() if k in box}
             for box in boxes
         ]
@@ -316,13 +329,17 @@ def load_session(path: str | Path) -> SessionTrace:
         _fail(manifest_path, str(report))
 
     frames: list[FrameRecord] = []
-    root_name = str(root)
+    prefix = os.path.join(root, "")
     for i, entry in enumerate(entries):
         try:
-            t, pair_id, slot, file = fields(entry, FRAME_FIELDS, f"frame entry {i}")
-        except ValueError as exc:
-            _fail(manifest_path, str(exc))
-        data = _read_file(os.path.join(root_name, file))
+            t, pair_id, slot, file = fields(entry, FRAME_FIELDS)
+        except ValueError:  # read again, naming the entry: its name is written only for a fault
+            try:
+                fields(entry, FRAME_FIELDS, f"frame entry {i}")
+            except ValueError as exc:
+                _fail(manifest_path, str(exc))
+        # os.path.join's rule: an absolute name replaces the root
+        data = _read_file(file if file.startswith("/") else prefix + file)
         if data is None:
             _fail(root / file, "missing file")
         try:
@@ -339,19 +356,17 @@ def load_session(path: str | Path) -> SessionTrace:
         _fail(imu_path, "missing file")
     imu: list[ImuSample] = []
     with imu_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                if row != ["timestamp", "gx", "gy", "gz"]:
-                    _fail(imu_path, f"bad header {row!r}", line=1)
-                continue
-            if not row:
-                continue
-            if len(row) != 4:
-                _fail(imu_path, f"expected 4 fields, got {len(row)}", line=lineno)
+        rows = csv.reader(fh)
+        if (names := next(rows, None)) is not None and names != IMU_HEADER:
+            _fail(imu_path, f"bad header {names!r}", line=1)
+        for lineno, row in enumerate(rows, start=2):
             try:
-                t, gx, gy, gz = (float(v) for v in row)
-            except ValueError:
+                t, gx, gy, gz = map(float, row)
+            except ValueError:  # a blank row, a wrong count or a non-number, told apart here
+                if not row:
+                    continue
+                if len(row) != 4:
+                    _fail(imu_path, f"expected 4 fields, got {len(row)}", line=lineno)
                 _fail(imu_path, f"non-numeric field in {row!r}", line=lineno)
             imu.append(ImuSample(t, gx, gy, gz))
 
@@ -448,7 +463,7 @@ def write_session(trace: SessionTrace, path: str | Path) -> Path:
 
     with (root / "imu.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", "gx", "gy", "gz"])
+        writer.writerow(IMU_HEADER)
         for s in trace.imu:
             writer.writerow([repr(s.timestamp), repr(s.gx), repr(s.gy), repr(s.gz)])
 

@@ -34,7 +34,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     header = _HEADER.match(data)
     if header is None:
         raise ValueError("malformed PGM header")
-    w, h, maxval = (int(v) for v in header.groups())
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise ValueError(f"unsupported PGM maxval {maxval} (expected 255)")
     if w <= 0 or h <= 0:

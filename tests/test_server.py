@@ -311,6 +311,31 @@ def test_a_dropped_session_ends_the_client_stream_at_once(server):
     assert time.monotonic() - started < 5
 
 
+def test_a_reply_that_is_not_a_json_object_ends_the_client_stream_at_once(monkeypatch):
+    # a peer that drains its input and answers one JSON array
+    thread_faults = []
+    monkeypatch.setattr(threading, "excepthook", thread_faults.append)
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def answer_an_array():
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(b"[1]\n")
+                while conn.recv(1 << 16):
+                    pass
+
+        peer = threading.Thread(target=answer_an_array, daemon=True)
+        peer.start()
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="session did not complete: connection closed"):
+            stream_session(generate_synthetic(shelf_script()), *listener.getsockname(), timeout=10)
+        assert time.monotonic() - started < 2
+        peer.join(timeout=5)
+    assert thread_faults == []
+
+
 def test_interleaved_pairs_are_a_stream_fault(server):
     with pytest.raises(RuntimeError, match="bad_stream: .*pair 0 has no slot b"):
         stream_session(interleaved_trace(), *server.address, timeout=10)

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stepassist.trace import io as trace_io
 from stepassist.trace.io import (
     SessionFormatError,
     annotations_from_obj,
@@ -336,6 +338,51 @@ def test_loaded_frames_are_read_only(tmp_path):
     assert not image.flags.writeable
     with pytest.raises(ValueError):
         image[0, 0] = 1
+
+
+@pytest.mark.parametrize("shrink", [lambda size: size // 2, lambda size: 0], ids=["half", "zero"])
+def test_a_frame_file_is_read_to_its_end(tmp_path, monkeypatch, shrink):
+    # a file that grew after its fstat, or a short read, must not be cut off
+    root = write_session(generate_synthetic(small_script()), tmp_path / "sess")
+    want = load_session(root)
+    fstat, calls = os.fstat, []
+
+    def under_reported(fd):
+        st = fstat(fd)
+        calls.append(fd)
+        return types.SimpleNamespace(st_mode=st.st_mode, st_size=shrink(st.st_size))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trace_io.os, "fstat", under_reported)
+        got = load_session(root)
+    assert len(calls) == len(want.frames)
+    assert [(fr.timestamp, fr.pair_id, fr.slot) for fr in got.frames] == [
+        (fr.timestamp, fr.pair_id, fr.slot) for fr in want.frames]
+    for a, b in zip(got.frames, want.frames):
+        assert a.image.shape == b.image.shape and np.array_equal(a.image, b.image)
+
+
+def test_an_empty_frame_file_is_not_a_pgm_image(tmp_path):
+    root = write_session(generate_synthetic(small_script()), tmp_path / "sess")
+    name = f"frames/{frame_file_name(0, 'a')}"
+    (root / name).write_bytes(b"")
+    with pytest.raises(SessionFormatError) as err:
+        load_session(root)
+    assert str(err.value) == f"{root / name}: not a PGM image (expected P5 magic)"
+
+
+def test_read_pgm_is_called_once_per_loaded_frame(tmp_path, monkeypatch, standard_trace):
+    # trace.io's read_pgm is a layer the benchmark's tracer counts
+    root = write_session(standard_trace, tmp_path / "sess")
+    calls = []
+
+    def counted(data):
+        calls.append(len(data))
+        return read_pgm(data)
+
+    monkeypatch.setattr(trace_io, "read_pgm", counted)
+    trace = load_session(root)
+    assert len(calls) == len(trace.frames) == len(standard_trace.frames)
 
 
 @pytest.mark.parametrize("kind", ["directory", "under-a-file", "fifo", "device"])
