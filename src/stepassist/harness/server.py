@@ -20,9 +20,11 @@ Protocol faults come back as {"type": "error", "code": ..., "detail": ...}.
 Fields are read by load_session's rule, ``jsontext.field``, and session_start
 by its codecs and rules: any ValueError is answered ``bad_stream``, and any
 other exception is an engine fault that drops the session as ``internal``.
-Only a protocol version mismatch closes the connection; a client that
-resets or closes its connection just ends its handler. Each connection is
-its own pipeline, so concurrent clients never share state.
+Only a protocol version mismatch closes the connection. ``WireSession`` is
+the protocol core, one line in and its replies out, with no socket; the
+handler is a read loop that sends a line's replies in one write. A client
+that resets or closes its connection just ends its handler. Each connection
+is its own pipeline, so concurrent clients never share state.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import base64
 import json
 import socketserver
 import threading
-from typing import Any
+from typing import Any, Callable
 
 from ..jsontext import field, fields, fits
 from ..trace.io import annotations_from_obj, header_from_obj
@@ -54,120 +56,96 @@ PROTOCOL_MISMATCH = "protocol_version"
 INTERNAL = "internal"  # an unexpected fault inside the engine
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: at most one open session at a time, serially."""
+class WireSession:
+    """One connection's protocol core, with no socket: at most one open session at a time.
 
-    def handle(self) -> None:
-        try:
-            self._serve()
-        except ConnectionError:
-            pass  # the client reset or closed its connection; no one is left to answer
+    ``on_fault`` reports each engine fault before the session is dropped as ``internal``.
+    """
 
-    def _serve(self) -> None:
-        owner: PipelineServer = self.server.owner  # type: ignore[attr-defined]
+    def __init__(self, owner: "PipelineServer", on_fault: Callable[[], None]):
+        self.owner = owner
+        self.on_fault = on_fault
         self.engine: SessionPipeline | None = None
-        self.session_id: str | None = None
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                msg = json.loads(line.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-                self._send_error(BAD_JSON, f"undecodable line: {exc}")
-                continue
-            if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
+        self.session_id = ""  # the open session's; read only while engine is set
+        self.replies: list[dict[str, Any]] = []
+
+    def feed(self, line: bytes) -> tuple[list[dict[str, Any]], bool]:
+        """The replies to one line, and whether the connection stays open."""
+        self.replies = []
+        line = line.strip()
+        if not line:
+            return self.replies, True
+        try:
+            msg = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+            self._send_error(BAD_JSON, f"undecodable line: {exc}")
+            return self.replies, True
+        kind = msg.get("type") if isinstance(msg, dict) else None
+        try:
+            if not isinstance(kind, str):
                 self._send_error(BAD_MESSAGE, "messages are objects with a 'type' field")
-                continue
-            try:
-                keep_open = self._dispatch(owner, msg)
-            except ValueError as exc:
-                # the stream is no longer trustworthy; drop the session
-                self._drop_session(BAD_STREAM, exc)
-                continue
-            except ConnectionError:
-                raise  # from the handler's own writes; endpoint faults are ChatEndpointError
-            except Exception as exc:
-                # a fault inside the engine must not take the connection with
-                # it; socketserver's handle_error prints the traceback
-                self.server.handle_error(self.request, self.client_address)
-                self._drop_session(INTERNAL, exc)
-                continue
-            if not keep_open:
-                return
+            elif kind == "session_start" and not (
+                fits(msg.get("protocol"), int) and msg["protocol"] == PROTOCOL_VERSION
+            ):
+                self._send_error(
+                    PROTOCOL_MISMATCH,
+                    f"server speaks protocol {PROTOCOL_VERSION}, got {msg.get('protocol')!r}",
+                )
+                return self.replies, False  # nothing sensible can follow; close
+            elif kind == "session_start" and self.engine is not None:
+                self._send_error(SESSION_ACTIVE, "finish the open session first")
+            elif kind == "session_start":
+                self.session_id = field(msg, "session_id", str, default="")
+                session = SessionTrace(
+                    **header_from_obj(msg),
+                    **annotations_from_obj(field(msg, "annotations", dict, default={})),
+                    frames=[],
+                    imu=[],
+                )
+                self.engine = SessionPipeline(self.owner.cfg, session)
+                self.replies.append(
+                    {"type": "ack", "of": "session_start", "session_id": self.session_id}
+                )
+            elif kind not in ("imu", "frame", "session_end"):
+                self._send_error(BAD_MESSAGE, f"unknown message type {kind!r}")
+            elif self.engine is None:
+                self._send_error(NO_SESSION, f"{kind} before session_start")
+            elif kind == "imu":
+                self._push_assists(self.engine.feed_imu(ImuSample(*fields(msg, IMU_FIELDS))))
+            elif kind == "frame":
+                t, pair_id, slot, data = fields(msg, FRAME_FIELDS)
+                frame = FrameRecord(t, pair_id, slot, read_pgm(base64.b64decode(data)))
+                events = self.engine.feed_frame(frame)
+                if frame.slot == "b":
+                    self.replies.append({"type": "ack", "of": "pair", "pair": frame.pair_id})
+                self._push_assists(events)
+            else:
+                engine = self.engine
+                self._push_assists(engine.finish())
+                counts = {"pairs": engine.pair_count, **run_counts(engine.log)}
+                self.owner.store_log(self.session_id, engine.log)
+                self.engine = None
+                self.replies.append({"type": "ack", "of": "session_end", "counts": counts})
+        except ValueError as exc:
+            # the stream is no longer trustworthy; drop the session
+            self._drop_session(BAD_STREAM, exc)
+        except Exception as exc:
+            # a fault inside the engine must not take the connection with
+            # it; on_fault reports it, with its traceback
+            self.on_fault()
+            self._drop_session(INTERNAL, exc)
+        return self.replies, True
 
     def _drop_session(self, code: str, exc: Exception) -> None:
         self.engine = None
-        self.session_id = None
         self._send_error(code, f"{type(exc).__name__}: {exc}")
-
-    # -- message handling --------------------------------------------------
-
-    def _dispatch(self, owner: "PipelineServer", msg: dict[str, Any]) -> bool:
-        kind = msg["type"]
-        if kind == "session_start":
-            return self._on_session_start(owner, msg)
-        if kind in ("imu", "frame", "session_end"):
-            if self.engine is None:
-                self._send_error(NO_SESSION, f"{kind} before session_start")
-                return True
-            if kind == "imu":
-                self._on_imu(msg)
-            elif kind == "frame":
-                self._on_frame(msg)
-            else:
-                self._on_session_end(owner)
-            return True
-        self._send_error(BAD_MESSAGE, f"unknown message type {kind!r}")
-        return True
-
-    def _on_session_start(self, owner: "PipelineServer", msg: dict[str, Any]) -> bool:
-        if not (fits(msg.get("protocol"), int) and msg["protocol"] == PROTOCOL_VERSION):
-            self._send_error(
-                PROTOCOL_MISMATCH,
-                f"server speaks protocol {PROTOCOL_VERSION}, got {msg.get('protocol')!r}",
-            )
-            return False  # nothing sensible can follow; close
-        if self.engine is not None:
-            self._send_error(SESSION_ACTIVE, "finish the open session first")
-            return True
-        self.session_id = field(msg, "session_id", str, default="")
-        session = SessionTrace(
-            **header_from_obj(msg),
-            **annotations_from_obj(field(msg, "annotations", dict, default={})),
-            frames=[],
-            imu=[],
-        )
-        self.engine = SessionPipeline(owner.cfg, session)
-        self._send({"type": "ack", "of": "session_start", "session_id": self.session_id})
-        return True
-
-    def _on_imu(self, msg: dict[str, Any]) -> None:
-        self._push_assists(self.engine.feed_imu(ImuSample(*fields(msg, IMU_FIELDS))))
-
-    def _on_frame(self, msg: dict[str, Any]) -> None:
-        t, pair_id, slot, data = fields(msg, FRAME_FIELDS)
-        frame = FrameRecord(t, pair_id, slot, read_pgm(base64.b64decode(data)))
-        events = self.engine.feed_frame(frame)
-        if frame.slot == "b":
-            self._send({"type": "ack", "of": "pair", "pair": frame.pair_id})
-        self._push_assists(events)
-
-    def _on_session_end(self, owner: "PipelineServer") -> None:
-        engine = self.engine
-        self._push_assists(engine.finish())
-        counts = {"pairs": engine.pair_count, **run_counts(engine.log)}
-        owner.store_log(self.session_id, engine.log)
-        self.engine = None
-        self.session_id = None
-        self._send({"type": "ack", "of": "session_end", "counts": counts})
 
     # -- replies -----------------------------------------------------------
 
     def _push_assists(self, events: list[Event]) -> None:
         for ev in events:
             if ev.kind == DELIVERY and ev.data.get("deliver"):
-                self._send(
+                self.replies.append(
                     {
                         "type": "assist",
                         "t": ev.t,
@@ -177,12 +155,29 @@ class _Handler(socketserver.StreamRequestHandler):
                     }
                 )
 
-    def _send(self, obj: dict[str, Any]) -> None:
-        self.wfile.write(json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n")
-        self.wfile.flush()
-
     def _send_error(self, code: str, detail: str) -> None:
-        self._send({"type": "error", "code": code, "detail": detail})
+        self.replies.append({"type": "error", "code": code, "detail": detail})
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: a read loop over a WireSession, one write per line."""
+
+    def handle(self) -> None:
+        wire = WireSession(
+            self.server.owner,  # type: ignore[attr-defined]
+            lambda: self.server.handle_error(self.request, self.client_address),
+        )
+        try:
+            for raw in self.rfile:
+                replies, keep_open = wire.feed(raw)
+                if replies:
+                    self.wfile.write(b"".join(
+                        json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n" for obj in replies
+                    ))
+                if not keep_open:
+                    return
+        except ConnectionError:
+            pass  # the client reset or closed its connection; no one is left to answer
 
 
 class _ThreadingServer(socketserver.ThreadingTCPServer):
@@ -262,4 +257,5 @@ __all__ = [
     "PROTOCOL_VERSION",
     "SESSION_ACTIVE",
     "PipelineServer",
+    "WireSession",
 ]

@@ -292,7 +292,9 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
     hand_boxes: dict[int, list[dict[str, Any]]] = {}
     # each entry is named, as hand_boxes[<key>], only where it is refused
     for key, boxes in field(obj, "hand_boxes", dict, default={}).items():
-        if not (key.isascii() and key.removeprefix("-").isdigit() and str(pid := int(key)) == key):
+        # int() refuses more than 4300 digits, and no pair id is that long
+        if not (key.isascii() and key.removeprefix("-").isdigit() and len(key) <= 4300
+                and str(pid := int(key)) == key):
             raise ValueError(f"hand_boxes[{key!r}]: the key is not a pair id")
         if not (isinstance(boxes, list) and all(isinstance(box, dict) for box in boxes)):
             raise ValueError(f"hand_boxes[{key!r}] must be a JSON array of JSON objects")

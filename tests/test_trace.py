@@ -213,9 +213,9 @@ def damage(root, case):
         ann = json.loads((root / "annotations.json").read_text())
         ann["hand_boxes"]["0"][0]["x"] = HAND_BOX_DAMAGE[case]
         (root / "annotations.json").write_text(json.dumps(ann))
-    elif case == "hand-box-key-space":
+    elif case in HAND_BOX_KEY_DAMAGE:
         ann = json.loads((root / "annotations.json").read_text())
-        ann["hand_boxes"][" 0"] = ann["hand_boxes"].pop("0")
+        ann["hand_boxes"][HAND_BOX_KEY_DAMAGE[case]] = ann["hand_boxes"].pop("0")
         (root / "annotations.json").write_text(json.dumps(ann))
     elif case in ANNOTATION_DAMAGE:
         ann = json.loads((root / "annotations.json").read_text())
@@ -257,6 +257,8 @@ LOAD_REFUSALS = {
     "hand-box-x-text": "annotations.json: hand_boxes['0']: x must be an integer, got 'abc'",
     "hand-box-x-fraction": "annotations.json: hand_boxes['0']: x must be an integer, got 1.9",
     "hand-box-key-space": "annotations.json: hand_boxes[' 0']: the key is not a pair id",
+    # more digits than int() reads
+    "hand-box-key-digits": f"annotations.json: hand_boxes[{'1' * 5000!r}]: the key is not a pair id",
     "frames-number": "manifest.json: frames must be a JSON array",
     "frame-entry-number": "manifest.json: frame entry 1 must be a JSON object",
     "frame-file-number": "manifest.json: frame entry 1: file must be a string",
@@ -276,6 +278,7 @@ HEADER_DAMAGE = {
     "pair-gap-nan": ("pair_gap", math.nan),
 }
 HAND_BOX_DAMAGE = {"hand-box-x-null": None, "hand-box-x-text": "abc", "hand-box-x-fraction": 1.9}
+HAND_BOX_KEY_DAMAGE = {"hand-box-key-space": " 0", "hand-box-key-digits": "1" * 5000}
 ANNOTATION_DAMAGE = {
     "segments-number": ("segments", 5),
     "intervals-number": ("proactive_intervals", 5),
