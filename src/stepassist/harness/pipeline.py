@@ -51,13 +51,7 @@ from ..reasoner import (
     flag_off_guideline,
 )
 from ..trace.io import StreamCheck
-from ..trace.types import (
-    FramePair,
-    FrameRecord,
-    ImuSample,
-    SessionTrace,
-    ValidationReport,
-)
+from ..trace.types import FramePair, FrameRecord, ImuSample, SessionTrace
 from .config import PipelineConfig
 from .events import (
     DELIVERY,
@@ -139,8 +133,9 @@ class SessionPipeline:
     log accumulates on ``self.log``.
 
     ``session`` sets the instruction, the frame size, the pair gap and the
-    annotations; its ``frames`` and ``imu`` are never read, and one that
-    breaks a StreamCheck rule raises ValueError here.
+    annotations; its ``frames`` and ``imu`` are never read. The constructor,
+    each feed and ``finish`` raise ValueError naming the first StreamCheck
+    rule broken, ``finish`` for the rules that need the whole recording.
 
     ``imu`` and ``pairs`` hold a causal window, not the session: deciding a
     time cuts the gyro back to ``smoothing_window`` before the next one, and
@@ -155,7 +150,7 @@ class SessionPipeline:
         *,
         reasoner: Reasoner | None = None,
     ):
-        self._stream = StreamCheck(session, ValidationReport())
+        self._stream = StreamCheck(session)
         if self._stream.report.violations:
             raise ValueError(self._stream.report.violations[0].message)
         if not session.pair_gap < cfg.sampler.burst_interval:
@@ -210,9 +205,9 @@ class SessionPipeline:
         return self._bind(finished=False)
 
     def finish(self) -> list[Event]:
-        self._check(self._stream.end)
+        self._check(self._stream.end)  # so at least one pair is complete
         # like batch replay, the schedule runs on to the last frame time and no further
-        horizon = self._stream.last_frame_t if self.pair_count else float("-inf")
+        horizon = self._stream.last_frame_t
         while self.sampler_state.next_pair_time <= horizon:
             self._decide()
         while self.decided and self.decided[-1][0] > horizon:
@@ -222,7 +217,7 @@ class SessionPipeline:
         return events
 
     def _check(self, rule, *record) -> None:
-        """Run one of validate_session's stream rules; a broken one raises ValueError."""
+        """Run one of StreamCheck's steps; a broken rule raises ValueError."""
         if self._finished:
             raise RuntimeError("session already finished")
         rule(*record)

@@ -17,9 +17,10 @@ delivered response:
     {"type": "assist", "t": T, "step": "...", "status": "...", "text": "..."}
 
 Protocol faults come back as {"type": "error", "code": ..., "detail": ...}.
-Fields are read by load_session's rule, ``jsontext.field``, and session_start
-by its codecs and rules: any ValueError is answered ``bad_stream``, and any
-other exception is an engine fault that drops the session as ``internal``.
+Fields are read by load_session's rule, ``jsontext.field``, and the session
+by its codecs and rules, session_end checking the whole recording: any
+ValueError is answered ``bad_stream``, and any other exception is an engine
+fault that drops the session as ``internal``.
 Only a protocol version mismatch closes the connection. ``WireSession`` is
 the protocol core, one line in and its replies out, with no socket; the
 handler is a read loop that sends a line's replies in one write. A client
@@ -54,6 +55,7 @@ NO_SESSION = "no_session"
 SESSION_ACTIVE = "session_active"
 PROTOCOL_MISMATCH = "protocol_version"
 INTERNAL = "internal"  # an unexpected fault inside the engine
+POLL_S = 0.05  # seconds between start()'s serve loop's looks for shutdown(), which waits one out
 
 
 class WireSession:
@@ -220,7 +222,7 @@ class PipelineServer:
 
     def start(self) -> tuple[str, int]:
         """Serve on a background thread; returns the bound (host, port)."""
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._tcp.serve_forever, args=(POLL_S,), daemon=True)
         self._thread.start()
         return self.address
 

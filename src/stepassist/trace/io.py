@@ -48,24 +48,27 @@ HAND_SIDES = ("left", "right", "unknown")
 
 
 class StreamCheck:
-    """The session rules a live session can check as it goes.
+    """Every session rule, checked as the session goes.
 
-    The constructor checks the header and annotations; ``imu``, ``frame`` and
-    ``end`` check the sensor streams one record at a time. Each broken rule
-    is added to ``report``. ``validate_session`` and the engine both run one,
-    so they refuse the same sessions.
+    The constructor checks the header and annotations; ``imu`` and ``frame``
+    check the sensor streams one record at a time; ``end`` checks the whole
+    recording against the annotations. Each broken rule is added to ``report``.
+    ``validate_session``, the engine and so the wire all run one, so they
+    refuse the same sessions.
     """
 
-    def __init__(self, session: SessionTrace, report: ValidationReport):
-        self.report = report
+    def __init__(self, session: SessionTrace):
+        self.report = ValidationReport()
         self.waiting: FrameRecord | None = None  # the slot a whose slot b is due next
         self.last_frame_t: float | None = None
+        self._session = session  # its annotations, checked again at the end
+        self._unnamed = set(session.hand_boxes)  # annotated pair ids no frame has named yet
         self._shape = (session.height, session.width)
         self._pair_gap = session.pair_gap
         self._pair_id: int | None = None
         self._imu_t: float | None = None
 
-        add = report.add
+        add = self.report.add
         if not session.instruction.strip():
             add("empty_instruction", "session instruction is empty")
         if session.width <= 0 or session.height <= 0:
@@ -146,6 +149,7 @@ class StreamCheck:
             add("frame_order", f"{_name(fr)} is not strictly increasing past t={last}")
 
         # a pair is a slot a followed directly by its slot b, pair ids increasing
+        self._unnamed.discard(fr.pair_id)
         first, self.waiting = self.waiting, None
         if first is not None and (fr.slot == "a" or fr.pair_id != first.pair_id):
             add("incomplete_pair", f"pair {first.pair_id} has no slot b")
@@ -161,9 +165,26 @@ class StreamCheck:
                 f"{self._pair_gap}s (+/- {PAIR_GAP_TOL}s)")
 
     def end(self) -> None:
-        """No record follows, so a waiting slot a never gets its slot b."""
+        """No record follows: check a waiting slot a, and the recording as a whole."""
+        add, session = self.report.add, self._session
         if self.waiting is not None:
-            self.report.add("incomplete_pair", f"pair {self.waiting.pair_id} has no slot b")
+            add("incomplete_pair", f"pair {self.waiting.pair_id} has no slot b")
+        if self.last_frame_t is None:
+            add("empty_stream", "session has no frames")
+        if self._imu_t is None:
+            add("empty_stream", "session has no imu samples")
+        horizon = 0.0 if self.last_frame_t is None else self.last_frame_t
+        for i, seg in enumerate(session.segments):
+            if seg.start < 0 or seg.end > horizon:
+                add("segment_bounds",
+                    f"segment {i} [{seg.start}, {seg.end}) leaves [0, {horizon}]")
+        for i, iv in enumerate(session.proactive_intervals):
+            if iv.start < 0 or iv.end > horizon:
+                add("interval_bounds",
+                    f"proactive interval {i} [{iv.start}, {iv.end}] leaves [0, {horizon}]")
+        for pid in session.hand_boxes:
+            if pid in self._unnamed:
+                add("hand_box_pair", f"hand boxes recorded for unknown pair {pid}")
 
 
 def _name(fr: FrameRecord) -> str:
@@ -274,7 +295,7 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
     naming the malformed entry, e.g. ``segment 2: ...``.
     """
     if not isinstance(obj, dict):
-        raise ValueError("annotations must be a JSON object")
+        raise ValueError(f"annotations must be a JSON object, got {obj!r:.40}")
     segments: list[StepSegment] = []
     for i, entry in enumerate(field(obj, "segments", list, default=[])):
         start, end, step, status = fields(entry, SEGMENT_FIELDS, f"segment {i}")
@@ -290,16 +311,16 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
         except ValueError as exc:
             raise ValueError(f"proactive interval {i}: {exc}") from None
     hand_boxes: dict[int, list[dict[str, Any]]] = {}
-    # each entry is named, as hand_boxes[<key>], only where it is refused
+    # each entry is named, as hand_boxes[<key>] cut as field cuts values, only where refused
     for key, boxes in field(obj, "hand_boxes", dict, default={}).items():
         # int() refuses more than 4300 digits, and no pair id is that long
         if not (key.isascii() and key.removeprefix("-").isdigit() and len(key) <= 4300
                 and str(pid := int(key)) == key):
-            raise ValueError(f"hand_boxes[{key!r}]: the key is not a pair id")
+            raise ValueError(f"hand_boxes[{key!r:.40}]: the key is not a pair id")
         if not (isinstance(boxes, list) and all(isinstance(box, dict) for box in boxes)):
-            raise ValueError(f"hand_boxes[{key!r}] must be a JSON array of JSON objects")
+            raise ValueError(f"hand_boxes[{key!r:.40}] must be a JSON array of JSON objects")
         hand_boxes[pid] = [
-            {k: v if type(v := box[k]) is tp else field(box, k, tp, f"hand_boxes[{key!r}]")
+            {k: v if type(v := box[k]) is tp else field(box, k, tp, f"hand_boxes[{key!r:.40}]")
              for k, tp in HAND_BOX_FIELDS.items() if k in box}
             for box in boxes
         ]
@@ -325,9 +346,15 @@ def load_session(path: str | Path) -> SessionTrace:
         doc_id = field(manifest, "guideline_doc_id", str, default=None)
     except ValueError as exc:
         _fail(manifest_path, str(exc))
-    # a header that breaks a session rule is refused by name, before any frame is read
+    ann_path = root / "annotations.json"
+    ann = _load_json(ann_path)
+    try:
+        annotations = annotations_from_obj(ann)
+    except ValueError as exc:
+        _fail(ann_path, str(exc))
+    # as a session_start is read: both codecs, then the header's rules, before any frame
     bare = SessionTrace(**header, frames=[], imu=[], segments=[], proactive_intervals=[])
-    if not (report := StreamCheck(bare, ValidationReport()).report).ok:
+    if not (report := StreamCheck(bare).report).ok:
         _fail(manifest_path, str(report))
 
     frames: list[FrameRecord] = []
@@ -372,13 +399,6 @@ def load_session(path: str | Path) -> SessionTrace:
                 _fail(imu_path, f"non-numeric field in {row!r}", line=lineno)
             imu.append(ImuSample(t, gx, gy, gz))
 
-    ann_path = root / "annotations.json"
-    ann = _load_json(ann_path)
-    try:
-        annotations = annotations_from_obj(ann)
-    except ValueError as exc:
-        _fail(ann_path, str(exc))
-
     trace = SessionTrace(
         **header,
         **annotations,
@@ -393,41 +413,14 @@ def load_session(path: str | Path) -> SessionTrace:
 
 
 def validate_session(trace: SessionTrace) -> ValidationReport:
-    """Check every session invariant and report all violations found.
-
-    Beyond StreamCheck's rules, compare the annotations with the whole
-    recording, which a live session cannot know when it starts.
-    """
-    rep = ValidationReport()
-    check = StreamCheck(trace, rep)
-    if not trace.frames:
-        rep.add("empty_stream", "session has no frames")
-    if not trace.imu:
-        rep.add("empty_stream", "session has no imu samples")
+    """Every broken session rule: one StreamCheck fed the whole trace, the imu stream first."""
+    check = StreamCheck(trace)
     for s in trace.imu:
         check.imu(s)
     for fr in trace.frames:
         check.frame(fr)
     check.end()
-
-    horizon = trace.duration
-    for i, seg in enumerate(trace.segments):
-        if seg.start < 0 or seg.end > horizon:
-            rep.add(
-                "segment_bounds",
-                f"segment {i} [{seg.start}, {seg.end}) leaves [0, {horizon}]",
-            )
-    for i, iv in enumerate(trace.proactive_intervals):
-        if iv.start < 0 or iv.end > horizon:
-            rep.add(
-                "interval_bounds",
-                f"proactive interval {i} [{iv.start}, {iv.end}] leaves [0, {horizon}]",
-            )
-    pair_ids = {fr.pair_id for fr in trace.frames}
-    for pid in trace.hand_boxes:
-        if pid not in pair_ids:
-            rep.add("hand_box_pair", f"hand boxes recorded for unknown pair {pid}")
-    return rep
+    return check.report
 
 
 def _covered(iv: ProactiveInterval, segs: list[StepSegment]) -> bool:

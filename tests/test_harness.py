@@ -218,9 +218,9 @@ def test_frame_of_another_size_is_rejected(shelf_trace):
         replay(trace, fixture_config())
 
 
-def test_finished_engine_refuses_more_input():
-    engine = bare_engine()
-    engine.finish()
+def test_finished_engine_refuses_more_input(shelf_trace):
+    engine = SessionPipeline(fixture_config(), shelf_trace)
+    feed(engine, shelf_trace.iter_sensor_records())  # and finish
     with pytest.raises(RuntimeError, match="finished"):
         engine.feed_imu(ImuSample(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(RuntimeError, match="finished"):
@@ -230,6 +230,7 @@ def test_finished_engine_refuses_more_input():
 def test_dropped_pair_surfaces_as_sampling_miss():
     trace = generate_synthetic(shelf_script())
     trace.frames = [f for f in trace.frames if f.pair_id != 8]  # the pair at t = 4.0
+    del trace.hand_boxes[8]  # no frame names the pair now
     log, _ = replay(trace, fixture_config())
     misses = [ev for ev in log.of_kind(ERROR) if ev.data["code"] == "sampling_miss"]
     assert len(misses) == 1

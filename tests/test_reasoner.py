@@ -20,6 +20,7 @@ from stepassist.reasoner import (
     assemble_prompt,
     parse_output,
 )
+from stepassist.harness.server import POLL_S
 from stepassist.httpchat import ChatEndpointError
 from stepassist.reasoner import flag_off_guideline
 from stepassist.trace.pgm import read_pgm
@@ -338,7 +339,8 @@ class MockChat:
         return f"http://{host}:{port}/chat"
 
     def __enter__(self):
-        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+        # PipelineServer.start()'s poll, so shutdown() waits out at most that
+        threading.Thread(target=self.server.serve_forever, args=(POLL_S,), daemon=True).start()
         return self
 
     def __exit__(self, *exc):

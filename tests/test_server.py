@@ -51,6 +51,14 @@ SEGMENT_ANN = {
 
 
 PGM_8X8 = base64.b64encode(write_pgm(np.zeros((8, 8), dtype=np.uint8))).decode()
+# the records of a session that every rule accepts under start_message(): a gyro sample at
+# t = 0 and two pairs, the second at t = 1.0, where SEGMENT_ANN's segment ends
+VALID_RECORDS = [
+    {"type": "imu", "t": 0.0, "gx": 0.0, "gy": 0.0, "gz": 0.0},
+    *({"type": "frame", "t": t + dt, "pair": pair, "slot": slot, "data": PGM_8X8}
+      for pair, t in ((0, 0.0), (1, 1.0)) for slot, dt in (("a", 0.0), ("b", 0.1))),
+]
+PAIR_ACKS = [{"type": "ack", "of": "pair", "pair": 0}, {"type": "ack", "of": "pair", "pair": 1}]
 
 
 def start_message(**overrides):
@@ -190,10 +198,13 @@ def test_one_connection_can_run_sessions_back_to_back(server):
     with raw_client(server) as (send, recv):
         send(start_message())
         assert recv()["of"] == "session_start"
+        for record in VALID_RECORDS:
+            send(record)
         send({"type": "session_end"})
+        assert [recv(), recv()] == PAIR_ACKS
         end = recv()
         assert end["of"] == "session_end"
-        assert end["counts"]["pairs"] == 0
+        assert end["counts"]["pairs"] == 2
         send(start_message(session_id="second"))
         ack = recv()
         assert ack["of"] == "session_start" and ack["session_id"] == "second"
@@ -522,7 +533,10 @@ def test_malformed_annotation_segment_is_a_stream_fault(server):
         assert err["code"] == "bad_stream" and "segment 0:" in err["detail"]
         send(start_message())
         assert recv()["of"] == "session_start"
+        for record in VALID_RECORDS:
+            send(record)
         send({"type": "session_end"})
+        assert [recv(), recv()] == PAIR_ACKS
         assert recv()["of"] == "session_end"
 
 
@@ -581,7 +595,6 @@ def test_oracle_sessions_need_annotations(server):
 
 
 def test_engine_fault_drops_the_session_and_keeps_the_socket(server, monkeypatch):
-    pgm = base64.b64encode(write_pgm(np.zeros((8, 8), dtype=np.uint8))).decode()
     # a TypeError inside the engine is an engine fault too, not a malformed stream
     for fault in (HandDetectionError("detector crashed"), TypeError("detector crashed")):
         def broken_detector(frame, detector):
@@ -591,10 +604,9 @@ def test_engine_fault_drops_the_session_and_keeps_the_socket(server, monkeypatch
         with raw_client(server) as (send, recv):
             send(start_message())
             assert recv()["of"] == "session_start"
-            send({"type": "imu", "t": 0.0, "gx": 0.0, "gy": 0.0, "gz": 0.0})
-            send({"type": "frame", "t": 0.0, "pair": 0, "slot": "a", "data": pgm})
-            send({"type": "frame", "t": 0.1, "pair": 0, "slot": "b", "data": pgm})
-            assert recv() == {"type": "ack", "of": "pair", "pair": 0}
+            for record in VALID_RECORDS:
+                send(record)
+            assert [recv(), recv()] == PAIR_ACKS
             send({"type": "session_end"})  # resolving pair 0 runs the detector
             err = recv()
             assert err["code"] == INTERNAL and "detector crashed" in err["detail"]

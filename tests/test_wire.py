@@ -10,6 +10,7 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -330,7 +331,20 @@ def test_a_5000_digit_hand_box_key_is_named():
     machine = WireMachine()
     (reply,) = machine.feed(PINNED_5000_DIGIT_HAND_BOX_KEY)
     assert reply["code"] == BAD_STREAM
-    assert reply["detail"] == f"ValueError: hand_boxes[{'1' * 5000!r}]: the key is not a pair id"
+    # the key is cut as jsontext.field cuts a value
+    assert reply["detail"] == f"ValueError: hand_boxes['{'1' * 39}]: the key is not a pair id"
+
+
+@pytest.mark.parametrize(
+    "hand_boxes",
+    [{"x" * 100_000: []}, {"1" * 100_000: []}, {"1" * 4300: 5}, {"1" * 4300: [{"x": "1"}]}],
+    ids=["text", "digits", "boxes-not-an-array", "box-field"],
+)
+def test_a_refused_hand_box_key_is_cut_in_the_reply(hand_boxes):
+    machine = WireMachine()
+    (reply,) = machine.feed(start_line(annotations={"hand_boxes": hand_boxes}))
+    assert reply["code"] == BAD_STREAM
+    assert len(json.dumps(reply)) < 160
 
 
 # -- the WireSession contract ----------------------------------------------------------
