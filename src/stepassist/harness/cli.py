@@ -1,20 +1,30 @@
-"""Command-line front end: generate, replay, serve, send, eval, retrieve."""
+"""Command-line front end: generate, replay, serve, send, eval, retrieve.
+
+The ``stepassist`` command starts OpenBLAS with one thread unless
+``OPENBLAS_NUM_THREADS`` is already set, and each subcommand imports only the
+modules it runs, so a process starts at about the cost of numpy. ``--pace``
+on ``replay`` and ``send`` holds each record until its recorded time since
+the first.
+"""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# Before numpy loads: the engine's arrays are small and its concurrency is one
+# thread per session, so OpenBLAS's thread pool is never used, and starting it
+# costs about 70 ms of every process. A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from ..context import GuidelineCorpus, ScriptedStructurer, retrieve_guideline
 from ..jsontext import loads
 from ..metrics import compute_metrics
 from ..trace.io import load_session, write_session
-from ..trace.synthetic import generate_synthetic, standard_script
-from .client import stream_session
 from .config import DETECTOR_KINDS, REASONER_KINDS, PipelineConfig, config_from_dict
 from .events import run_counts
 from .pipeline import replay
-from .report import format_metrics, load_report, write_report
 from .server import PipelineServer
 
 
@@ -67,6 +77,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from ..trace.synthetic import generate_synthetic, standard_script
+
     script = standard_script(seed=args.seed)
     trace = generate_synthetic(script)
     root = write_session(trace, args.out)
@@ -77,6 +89,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from .report import format_metrics, write_report
+
     cfg = _build_config(args)
     trace = load_session(args.session)
     log, metrics = replay(trace, cfg, pace=args.pace)
@@ -101,6 +115,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_send(args: argparse.Namespace) -> int:
+    from .client import stream_session
+
     trace = load_session(args.session)
     session_id = args.session_id or Path(args.session).name
     result = stream_session(
@@ -121,6 +137,8 @@ def _cmd_send(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .report import format_metrics, load_report
+
     log = load_report(args.report)
     trace = load_session(args.session)
     try:

@@ -348,14 +348,19 @@ def sensor_records(
 ) -> Iterator[ImuSample | FrameRecord]:
     """The trace's sensor records in feed order.
 
-    With ``pace`` each record is held back until its recorded gap from the
-    previous one has passed in wall-clock time.
+    With ``pace`` each record is held back until its recorded time since the
+    first record has passed in wall-clock time since the first was fed, so
+    the overshoot of one sleep is made up by the next and never adds up.
     """
-    prev_t: float | None = None
+    origin: tuple[float, float] | None = None  # (wall clock, timestamp) of the first
     for record in trace.iter_sensor_records():
-        if pace and prev_t is not None and record.timestamp > prev_t:
-            time.sleep(record.timestamp - prev_t)
-        prev_t = record.timestamp
+        if pace:
+            if origin is None:
+                origin = (time.perf_counter(), record.timestamp)
+            else:
+                wait = record.timestamp - origin[1] - (time.perf_counter() - origin[0])
+                if wait > 0:
+                    time.sleep(wait)
         yield record
 
 
@@ -370,8 +375,8 @@ def replay(
 
     The simulated clock is the trace's own timeline: records are fed in
     timestamp order and each scheduled pair resolves as soon as its inputs
-    exist. With ``pace`` the feed additionally sleeps out the recorded gaps
-    in wall-clock time (demo mode; scoring is unaffected).
+    exist. With ``pace`` the feed additionally holds each record until its
+    recorded time since the first (demo mode; scoring is unaffected).
     """
     engine = SessionPipeline(cfg, trace, reasoner=reasoner)
     for record in sensor_records(trace, pace=pace):

@@ -3,9 +3,11 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,13 +146,44 @@ def test_incremental_feeding_accumulates_one_log(shelf_trace):
     assert engine.log.dumps() == batch_log.dumps()
 
 
+class FakeClock:
+    """Stands in for the ``time`` module: ``sleep`` advances ``perf_counter`` by its
+    argument plus ``overshoot``, as a real sleep that wakes late does."""
+
+    def __init__(self, overshoot: float = 0.0) -> None:
+        self.now = 100.0
+        self.overshoot = overshoot
+        self.slept: list[float] = []
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.slept.append(seconds)
+        self.now += seconds + self.overshoot
+
+
 def test_paced_records_sleep_out_the_recorded_gaps(shelf_trace, monkeypatch):
-    slept = []
-    monkeypatch.setattr(pipeline_module.time, "sleep", slept.append)
+    clock = FakeClock()
+    monkeypatch.setattr(pipeline_module, "time", clock)
     records = list(sensor_records(shelf_trace, pace=True))
     assert records == list(shelf_trace.iter_sensor_records())
-    assert all(gap > 0 for gap in slept)
-    assert sum(slept) == pytest.approx(records[-1].timestamp - records[0].timestamp)
+    assert all(gap > 0 for gap in clock.slept)
+    assert sum(clock.slept) == pytest.approx(records[-1].timestamp - records[0].timestamp)
+
+
+def test_paced_records_do_not_add_up_each_sleeps_overshoot(monkeypatch):
+    # 1000 gyro records 5 ms apart, and a sleep that always wakes 1 ms late
+    clock = FakeClock(overshoot=0.001)
+    monkeypatch.setattr(pipeline_module, "time", clock)
+    samples = [ImuSample(k * 0.005, 0.0, 0.0, 0.0) for k in range(1000)]
+    trace = SimpleNamespace(iter_sensor_records=lambda: iter(samples))
+    fed_at = [clock.now for _ in sensor_records(trace, pace=True)]
+    span = samples[-1].timestamp - samples[0].timestamp
+    assert len(fed_at) == 1000
+    # no record goes out early, and the last is late by one overshoot, not 999
+    assert all(at - fed_at[0] >= s.timestamp - 1e-9 for at, s in zip(fed_at, samples))
+    assert fed_at[-1] - fed_at[0] <= span + clock.overshoot + 1e-9
 
 
 def bare_engine() -> SessionPipeline:
@@ -923,6 +956,16 @@ def test_config_round_trips_through_dict_and_file(tmp_path):
 
 # -- packaging -----------------------------------------------------------------
 
+def fresh_env(**overrides: str) -> dict[str, str]:
+    """This environment with the package on the path, no ``OPENBLAS_NUM_THREADS``
+    and ``overrides`` laid over it."""
+    src = str(Path(stepassist.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(overrides)
+    return env
+
+
 IMPORT_EACH_FIRST = """
 import importlib, pkgutil, sys
 import stepassist
@@ -938,13 +981,55 @@ for name in names:
 def test_every_module_imports_first_in_a_fresh_interpreter():
     # the package __init__ files import nothing, so an import cycle between
     # two modules fails as soon as the one that closes it is imported first
-    src = str(Path(stepassist.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
         [sys.executable, "-c", IMPORT_EACH_FIRST],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
     assert {"stepassist.motion", "stepassist.harness.cli", "stepassist.trace.io"} <= set(
         run.stdout.split()
     )
+
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/status").is_file(), reason="needs /proc/<pid>/status"
+)
+
+
+@needs_proc
+def test_a_spawned_server_holds_one_thread_at_listening_on():
+    # without the pin OpenBLAS starts a worker pool the engine never uses
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stepassist.harness.cli", "serve", "--port", "0"],
+        env=fresh_env(), stdout=subprocess.PIPE, stdin=subprocess.DEVNULL, text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("listening on"), line
+        status = Path(f"/proc/{proc.pid}/status").read_text().splitlines()
+        assert "Threads:\t1" in status
+    finally:
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=20)
+    assert proc.returncode == 0
+
+
+CLI_IMPORT = """
+import os, sys
+import stepassist.harness.cli
+print(os.environ["OPENBLAS_NUM_THREADS"])
+print(" ".join(sorted(n for n in sys.modules if n.startswith("stepassist."))))
+"""
+
+
+def test_the_cli_import_keeps_a_users_blas_threads_and_defers_per_command_modules():
+    run = subprocess.run(
+        [sys.executable, "-c", CLI_IMPORT], env=fresh_env(OPENBLAS_NUM_THREADS="3"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    threads, loaded = run.stdout.splitlines()
+    assert threads == "3"
+    deferred = {"stepassist.trace.synthetic", "stepassist.harness.client",
+                "stepassist.harness.report"}
+    assert not deferred & set(loaded.split())
