@@ -50,9 +50,12 @@ class GuidelineCorpus:
         root = Path(directory)
         if not root.is_dir():
             raise FileNotFoundError(f"guideline corpus directory {root} does not exist")
-        docs = {
-            p.stem: p.read_text(encoding="utf-8") for p in sorted(root.glob("*.txt"))
-        }
+        docs = {}
+        for p in sorted(root.glob("*.txt")):
+            try:
+                docs[p.stem] = p.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{p}: {exc}") from None
         return cls(documents=docs)
 
 

@@ -64,7 +64,10 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """The ``--config`` file (if any) with every given flag laid over it."""
     obj: dict = {}
     if args.config:
-        obj = loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            obj = loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # a JSON or UTF-8 fault, named as load_report names one
+            raise ValueError(f"{args.config}: {exc}") from None
     for _, path, _ in _CONFIG_FLAGS:
         value = getattr(args, path)
         if value is not None:
@@ -119,14 +122,17 @@ def _cmd_send(args: argparse.Namespace) -> int:
 
     trace = load_session(args.session)
     session_id = args.session_id or Path(args.session).name
-    result = stream_session(
-        trace,
-        args.host,
-        args.port,
-        session_id=session_id,
-        include_annotations=not args.no_annotations,
-        pace=args.pace,
-    )
+    try:
+        result = stream_session(
+            trace,
+            args.host,
+            args.port,
+            session_id=session_id,
+            include_annotations=not args.no_annotations,
+            pace=args.pace,
+        )
+    except RuntimeError as exc:  # the server dropped the session, closed or went silent
+        raise ValueError(exc) from None
     for assist in result.assists:
         print(f"[{assist['t']:8.2f}] {assist['step']} ({assist['status']}): {assist['text']}")
     for err in result.errors:

@@ -8,6 +8,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..jsontext import loads
 from ..trace.io import annotations_to_obj, header_to_obj
 from ..trace.pgm import write_pgm
 from ..trace.types import FrameRecord, ImuSample, SessionTrace
@@ -61,7 +62,8 @@ def stream_session(
     session_end, while a reader thread drains acks, assists, and errors.
     Returns once the session_end ack arrives. Raises RuntimeError, naming the
     server's error code, if the server drops the session, closes or goes
-    silent first; sending stops as soon as the session is dropped.
+    silent first; a reply that is not a JSON object, too deep to decode
+    included, reads as a close. Sending stops as soon as the session is dropped.
     """
     result = StreamResult(session_id=session_id)
     done = threading.Event()
@@ -75,7 +77,7 @@ def stream_session(
         def read_replies() -> None:
             try:
                 for raw in rfile:
-                    msg = json.loads(raw.decode("utf-8"))
+                    msg = loads(raw.decode("utf-8"))
                     if not isinstance(msg, dict):
                         break  # not a message of the protocol: read as a torn-down connection
                     kind = msg.get("type")

@@ -7,10 +7,11 @@ On disk a session is a directory::
     imu.csv            timestamp,gx,gy,gz rows, header included
     annotations.json   step segments, proactive intervals, optional hand boxes
 
-Timestamps are float seconds from session start. ``load_session`` refuses a
-directory that fails validation; ``validate_session`` reports every violation
-it can find instead of stopping at the first. The header and annotation
-codecs serve the wire's ``session_start`` too. JSON fields are read by
+Timestamps are float seconds from session start. ``load_session`` reads each
+file by ``_read_file``, text as UTF-8, and ends every fault in a
+``SessionFormatError`` naming the file; ``validate_session`` reports every
+violation it can find instead of stopping at the first. The header and
+annotation codecs serve the wire's ``session_start`` too. JSON fields are read by
 ``jsontext.field``; only the text cells of ``imu.csv`` are parsed as numbers.
 A loaded frame is a read-only view of its file's bytes.
 """
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import json
 import math
 import os
 import stat
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from ..jsontext import field, fields, loads
 from .pgm import read_pgm, write_pgm
@@ -196,7 +198,7 @@ class SessionFormatError(ValueError):
     """A session directory is missing pieces, malformed, or inconsistent."""
 
 
-def _fail(path: Path | str, reason: str, line: int | None = None) -> None:
+def _fail(path: Path | str, reason: str, line: int | None = None) -> NoReturn:
     where = str(path) if line is None else f"{path}:{line}"
     raise SessionFormatError(f"{where}: {reason}")
 
@@ -205,26 +207,24 @@ def _fail(path: Path | str, reason: str, line: int | None = None) -> None:
 _NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
 
 
-def _read_file(path: str) -> bytes | None:
-    """The bytes of the regular file at ``path``, or None where ``Path.is_file`` is false.
+def _read_file(path: Path | str) -> bytes:
+    """The bytes of the regular file at ``path``, or a SessionFormatError naming it.
 
     One open, and the file's type read from it: no second look-up of the
-    path, and a FIFO or a device is refused without blocking or reading on
-    without end. The file is read with ``os.read`` up to its end, so a file
-    that grew after the ``fstat``, or a short read, is never cut off.
+    path, and a FIFO or a device is a missing file, refused without blocking
+    or reading on without end. The file is read with ``os.read`` up to its
+    end, so a file that grew after the ``fstat``, or a short read, is never cut off.
     """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO opens without a writer
     except OSError as exc:
-        if exc.errno in _NO_FILE:
-            return None
-        raise
+        _fail(path, "missing file" if exc.errno in _NO_FILE else exc.strerror)
     except ValueError:  # a name the system cannot take
-        return None
+        _fail(path, "missing file")
     try:
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
-            return None
+            _fail(path, "missing file")
         data = os.read(fd, st.st_size + 1)
         # one byte finds the end without a buffer the size of the file; past the
         # size, each read asks for as much again as is held, so growth costs linear time
@@ -238,10 +238,9 @@ def _read_file(path: str) -> bytes | None:
 
 
 def _load_json(path: Path) -> Any:
-    if not path.is_file():
-        _fail(path, "missing file")
-    try:
-        return loads(path.read_text(encoding="utf-8"))
+    data = _read_file(path)
+    try:  # a byte that is not UTF-8 is invalid JSON too
+        return loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         _fail(path, f"invalid JSON ({exc.msg})", line=exc.lineno)
     except ValueError as exc:  # too deep, or a number too long to decode
@@ -369,8 +368,6 @@ def load_session(path: str | Path) -> SessionTrace:
                 _fail(manifest_path, str(exc))
         # os.path.join's rule: an absolute name replaces the root
         data = _read_file(file if file.startswith("/") else prefix + file)
-        if data is None:
-            _fail(root / file, "missing file")
         try:
             image = read_pgm(data)
         except ValueError as exc:
@@ -381,11 +378,14 @@ def load_session(path: str | Path) -> SessionTrace:
             _fail(manifest_path, f"frame entry {i}: {exc}")
 
     imu_path = root / "imu.csv"
-    if not imu_path.is_file():
-        _fail(imu_path, "missing file")
+    data = _read_file(imu_path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(imu_path, f"not UTF-8 ({exc})", line=data.count(b"\n", 0, exc.start) + 1)
+    rows = csv.reader(io.StringIO(text, newline=""))
     imu: list[ImuSample] = []
-    with imu_path.open(newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
+    try:
         if (names := next(rows, None)) is not None and names != IMU_HEADER:
             _fail(imu_path, f"bad header {names!r}", line=1)
         for lineno, row in enumerate(rows, start=2):
@@ -398,6 +398,8 @@ def load_session(path: str | Path) -> SessionTrace:
                     _fail(imu_path, f"expected 4 fields, got {len(row)}", line=lineno)
                 _fail(imu_path, f"non-numeric field in {row!r}", line=lineno)
             imu.append(ImuSample(t, gx, gy, gz))
+    except csv.Error as exc:  # a field over csv's size limit, or (before 3.11) a NUL byte
+        _fail(imu_path, f"bad CSV row ({exc})", line=rows.line_num)
 
     trace = SessionTrace(
         **header,

@@ -14,7 +14,7 @@ import pytest
 from stepassist.harness import cli
 from stepassist.harness.cli import main
 from stepassist.harness import pipeline as pipeline_module
-from stepassist.harness.config import PipelineConfig, ReasonerSpec
+from stepassist.harness.config import DetectorSpec, PipelineConfig, ReasonerSpec
 from stepassist.harness.client import record_message, stream_session
 from stepassist.harness.events import DELIVERY, ERROR, KEY_MOMENT, REASONED, SAMPLED_PAIR
 from stepassist.harness.pipeline import SessionPipeline, replay, sensor_records
@@ -322,22 +322,23 @@ def test_a_dropped_session_ends_the_client_stream_at_once(server):
     assert time.monotonic() - started < 5
 
 
-def test_a_reply_that_is_not_a_json_object_ends_the_client_stream_at_once(monkeypatch):
-    # a peer that drains its input and answers one JSON array
+@pytest.mark.parametrize("reply", [b"[1]\n", b"[" * 100000 + b"\n"], ids=["array", "too-deep"])
+def test_a_reply_that_is_not_a_json_object_ends_the_client_stream_at_once(monkeypatch, reply):
+    # a peer that drains its input and answers one JSON array, or a line nested too deep
     thread_faults = []
     monkeypatch.setattr(threading, "excepthook", thread_faults.append)
     with socket.socket() as listener:
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
 
-        def answer_an_array():
+        def answer_one_line():
             conn, _ = listener.accept()
             with conn:
-                conn.sendall(b"[1]\n")
+                conn.sendall(reply)
                 while conn.recv(1 << 16):
                     pass
 
-        peer = threading.Thread(target=answer_an_array, daemon=True)
+        peer = threading.Thread(target=answer_one_line, daemon=True)
         peer.start()
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="session did not complete: connection closed"):
@@ -756,7 +757,8 @@ def test_cli_input_faults_exit_2_with_one_line(tmp_path, capsys, session_dir):
     config = tmp_path / "run.json"
     config.write_text("{not json")
     assert main(["replay", "--session", str(session_dir), "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("stepassist: error: Expecting property name")
+    err = capsys.readouterr().err
+    assert err.startswith(f"stepassist: error: {config}: Expecting property name")
 
     broken = write_session(load_session(session_dir), tmp_path / "broken")
     manifest = json.loads((broken / "manifest.json").read_text())
@@ -795,6 +797,43 @@ def test_cli_send_streams_to_a_live_server(capsys, session_dir):
     assert code == 0
     out = capsys.readouterr().out
     assert "finished:" in out and "deliveries=1" in out
+
+
+def send_without_annotations(cfg, session_dir):
+    with PipelineServer(cfg) as srv:
+        host, port = srv.address
+        return main(["send", "--session", str(session_dir), "--host", host, "--port", str(port),
+                     "--no-annotations"])
+
+
+def test_cli_send_of_a_session_the_server_drops_exits_2_with_one_line(capsys, session_dir):
+    # the oracle reasons from the annotations, so the server drops a session without them
+    assert send_without_annotations(fixture_config(), session_dir) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stepassist: error: session did not complete: bad_stream: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_send_without_annotations_to_a_remote_reasoner_finishes(capsys, session_dir):
+    # no hand boxes to read either, so the hands are found in the frames
+    cfg = fixture_config(reasoner=ReasonerSpec(kind="remote", endpoint=dead_endpoint()),
+                         detector=DetectorSpec(kind="synthetic"))
+    assert send_without_annotations(cfg, session_dir) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"session {session_dir.name} finished: ")
+    counts = dict(kv.split("=") for kv in last.split(": ", 1)[1].split())
+    assert int(counts["errors"]) == int(counts["key_moments"]) > 0
+
+
+def test_cli_retrieve_names_a_document_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "tea.txt").write_text("Boil water. Steep the tea.")
+    (tmp_path / "broken.txt").write_bytes(b"Boil \xff water.")
+    assert main(["retrieve", "--corpus", str(tmp_path), "--instruction", "brew tea"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"stepassist: error: {tmp_path / 'broken.txt'}: 'utf-8' codec")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_serve_interrupted_while_announcing_closes_its_socket(monkeypatch):
