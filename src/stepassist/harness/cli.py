@@ -62,21 +62,20 @@ def _add_config_args(ap: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """The ``--config`` file (if any) with every given flag laid over it."""
-    obj: dict = {}
+    obj, flags = {}, {}
     if args.config:
         try:
             obj = loads(Path(args.config).read_text(encoding="utf-8"))
         except ValueError as exc:  # a JSON or UTF-8 fault, named as load_report names one
             raise ValueError(f"{args.config}: {exc}") from None
     for _, path, _ in _CONFIG_FLAGS:
-        value = getattr(args, path)
-        if value is not None:
+        if (value := getattr(args, path)) is not None:
             *sections, key = path.split(".")
-            node = obj
+            node = flags
             for section in sections:
                 node = node.setdefault(section, {})
             node[key] = value
-    return config_from_dict(obj)
+    return config_from_dict(obj, flags)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from ..checker import CheckerConfig
-from ..jsontext import fits
+from ..jsontext import fits, shown
 from ..motion import FlowConfig
 from ..perception import KeyMomentConfig, SamplerConfig
 from ..reasoner import OracleConfig
@@ -70,29 +70,29 @@ class PipelineConfig:
             raise ValueError(f"corpus directory {self.corpus_dir} does not exist")
 
 
-def _build(cls: type, obj: Any, path: str) -> Any:
-    """Build dataclass ``cls`` from a JSON object; a dict given for a
-    dataclass-typed field builds that field, and every other value must fit
-    its field's annotated type."""
+def _build(cls: type, obj: Any, path: str, over: dict[str, Any]) -> Any:
+    """Build dataclass ``cls`` from a JSON object with ``over``'s values laid over
+    its own; a dict given for a dataclass-typed field builds that field, and every
+    other value must fit its field's annotated type."""
     if not isinstance(obj, dict):
         where = f" {path}" if path else ""
-        raise ValueError(f"config{where} must be an object, got {obj!r}")
+        raise ValueError(f"config{where} must be an object, got {shown(obj)}")
     types = typing.get_type_hints(cls)  # one per dataclass field
     kwargs: dict[str, Any] = {}
-    for key, value in obj.items():
+    for key in {**obj, **over}:
         name = f"{path}.{key}" if path else key
         if key not in types:
-            raise ValueError(f"unknown config key {name}")
-        tp = types[key]
+            raise ValueError(f"unknown config key {shown(name)}")
+        tp, value = types[key], over[key] if key in over else obj[key]
         if dataclasses.is_dataclass(tp):
-            value = _build(tp, value, name)
+            value = _build(tp, obj.get(key, {}), name, over.get(key, {}))
         elif not any(fits(value, t) for t in typing.get_args(tp) or (tp,)):  # X | None
             want = getattr(tp, "__name__", tp)
-            raise ValueError(f"config key {name} must be {want}, got {value!r}")
+            raise ValueError(f"config key {name} must be {want}, got {shown(value)}")
         kwargs[key] = value
     return cls(**kwargs)
 
 
-def config_from_dict(obj: dict[str, Any]) -> PipelineConfig:
-    return _build(PipelineConfig, obj, "")
-
+def config_from_dict(obj: Any, over: dict[str, Any] | None = None) -> PipelineConfig:
+    """The config a JSON object gives, with ``over``, nested alike, laid over it."""
+    return _build(PipelineConfig, obj, "", over or {})

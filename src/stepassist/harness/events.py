@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from ..jsontext import shown
+
 SAMPLED_PAIR = "sampled_pair"
 KEY_MOMENT = "key_moment"
 REASONED = "reasoned"
@@ -30,7 +32,7 @@ class Event:
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
+            raise ValueError(f"unknown event kind {shown(self.kind)}")
 
 
 class EventLog:

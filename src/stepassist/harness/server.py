@@ -35,7 +35,7 @@ import socketserver
 import threading
 from typing import Any, Callable
 
-from ..jsontext import field, fields, fits
+from ..jsontext import TOO_DEEP, field, fields, fits, shown
 from ..trace.io import annotations_from_obj, header_from_obj
 from ..trace.pgm import read_pgm
 from ..trace.types import FrameRecord, ImuSample, SessionTrace
@@ -80,7 +80,8 @@ class WireSession:
         try:
             msg = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-            self._send_error(BAD_JSON, f"undecodable line: {exc}")
+            why = TOO_DEEP if isinstance(exc, RecursionError) else exc
+            self._send_error(BAD_JSON, f"undecodable line: {why}")
             return self.replies, True
         kind = msg.get("type") if isinstance(msg, dict) else None
         try:
@@ -89,10 +90,8 @@ class WireSession:
             elif kind == "session_start" and not (
                 fits(msg.get("protocol"), int) and msg["protocol"] == PROTOCOL_VERSION
             ):
-                self._send_error(
-                    PROTOCOL_MISMATCH,
-                    f"server speaks protocol {PROTOCOL_VERSION}, got {msg.get('protocol')!r}",
-                )
+                self._send_error(PROTOCOL_MISMATCH, f"server speaks protocol {PROTOCOL_VERSION}, "
+                                 f"got {shown(msg.get('protocol'))}")
                 return self.replies, False  # nothing sensible can follow; close
             elif kind == "session_start" and self.engine is not None:
                 self._send_error(SESSION_ACTIVE, "finish the open session first")
@@ -109,7 +108,7 @@ class WireSession:
                     {"type": "ack", "of": "session_start", "session_id": self.session_id}
                 )
             elif kind not in ("imu", "frame", "session_end"):
-                self._send_error(BAD_MESSAGE, f"unknown message type {kind!r}")
+                self._send_error(BAD_MESSAGE, f"unknown message type {shown(kind)}")
             elif self.engine is None:
                 self._send_error(NO_SESSION, f"{kind} before session_start")
             elif kind == "imu":

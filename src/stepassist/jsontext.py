@@ -1,7 +1,8 @@
 """Reading JSON values by type, and pulling a JSON object out of model text.
 
 Every JSON value from outside the program is read by one rule, ``fits``: a
-value is checked, never converted, and only an integer passes for a float."""
+value is checked, never converted, and only an integer passes for a float. A
+refusal shows an outside value by one rule, ``shown``: its repr cut to 40 characters."""
 from __future__ import annotations
 
 import json
@@ -9,10 +10,15 @@ from typing import Any
 
 _DECODER = json.JSONDecoder()
 _MISSING = object()
-_TOO_DEEP = "JSON nested too deeply to decode"
+TOO_DEEP = "JSON nested too deeply to decode"
 
 _JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
                list: "a JSON array", dict: "a JSON object"}
+
+
+def shown(value: Any) -> str:
+    """How a refusal shows a value from outside: its repr, cut to 40 characters."""
+    return f"{value!r:.40}"
 
 
 def fits(value: Any, tp: type) -> bool:
@@ -38,7 +44,7 @@ def field(obj: dict, key: str, tp: type, where: str = "", default: Any = _MISSIN
     except OverflowError:
         pass
     name = f"{where}: {key}" if where else key
-    raise ValueError(f"{name} must be {_JSON_TYPES[tp]}, got {value!r:.40}")
+    raise ValueError(f"{name} must be {_JSON_TYPES[tp]}, got {shown(value)}")
 
 
 def fields(obj: Any, spec: dict[str, type], where: str = "") -> list[Any]:
@@ -57,7 +63,7 @@ def loads(text: str) -> Any:
     try:
         return json.loads(text)
     except RecursionError:
-        raise ValueError(_TOO_DEEP) from None
+        raise ValueError(TOO_DEEP) from None
 
 
 def extract_first_json(text: str) -> dict[str, Any]:
@@ -75,5 +81,5 @@ def extract_first_json(text: str) -> dict[str, Any]:
         except json.JSONDecodeError:
             start = text.find("{", start + 1)
         except RecursionError:
-            raise ValueError(_TOO_DEEP) from None
+            raise ValueError(TOO_DEEP) from None
     raise ValueError("no JSON object found in text")

@@ -58,7 +58,8 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .trace.types import FrameRecord
+from .jsontext import shown
+from .trace.types import HAND_SIDES, FrameRecord
 
 # blocks with intensity variance below this are treated as untextured
 LOW_TEXTURE_VARIANCE = 1
@@ -345,8 +346,8 @@ class HandBox:
     h: int
 
     def __post_init__(self) -> None:
-        if self.side not in ("left", "right", "unknown"):
-            raise ValueError(f"hand side must be left/right/unknown, got {self.side!r}")
+        if self.side not in HAND_SIDES:
+            raise ValueError(f"hand side must be left/right/unknown, got {shown(self.side)}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"hand box must have positive size, got {self.w}x{self.h}")
 

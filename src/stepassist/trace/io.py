@@ -27,9 +27,10 @@ import stat
 from pathlib import Path
 from typing import Any, NoReturn
 
-from ..jsontext import field, fields, loads
+from ..jsontext import field, fields, loads, shown
 from .pgm import read_pgm, write_pgm
 from .types import (
+    HAND_SIDES,
     ExecutionStatus,
     FrameRecord,
     ImuSample,
@@ -46,7 +47,6 @@ PAIR_GAP_TOL = 1e-3
 MAX_RECORD_GAP = 60.0
 
 HAND_BOX_FIELDS = {"side": str, "x": int, "y": int, "w": int, "h": int}
-HAND_SIDES = ("left", "right", "unknown")
 
 
 class StreamCheck:
@@ -74,7 +74,8 @@ class StreamCheck:
         if not session.instruction.strip():
             add("empty_instruction", "session instruction is empty")
         if session.width <= 0 or session.height <= 0:
-            add("bad_geometry", f"frame geometry {session.width}x{session.height} is not positive")
+            add("bad_geometry", f"frame geometry {shown(session.width)}x{shown(session.height)} "
+                "is not positive")
         if not (math.isfinite(session.pair_gap) and session.pair_gap > 0):
             add("bad_pair_gap", f"pair gap {session.pair_gap} is not positive")
 
@@ -94,31 +95,25 @@ class StreamCheck:
         steps = {seg.step for seg in segments}
         for i, iv in enumerate(session.proactive_intervals):
             if iv.step not in steps:
-                add(
-                    "interval_step",
-                    f"proactive interval {i} names step {iv.step!r} absent from segments",
-                )
+                add("interval_step",
+                    f"proactive interval {i} names step {shown(iv.step)} absent from segments")
             elif not _covered(iv, [s for s in segments if s.step == iv.step]):
-                add(
-                    "interval_coverage",
-                    f"proactive interval {i} [{iv.start}, {iv.end}] is not inside "
-                    f"the segments of step {iv.step!r}",
-                )
+                add("interval_coverage", f"proactive interval {i} [{iv.start}, {iv.end}] is not "
+                    f"inside the segments of step {shown(iv.step)}")
 
         for pid, boxes in session.hand_boxes.items():
             for j, box in enumerate(boxes):
                 if not box.keys() >= HAND_BOX_FIELDS.keys():
-                    add("hand_box_keys", f"hand box {j} of pair {pid} missing keys")
+                    add("hand_box_keys", f"hand box {j} of pair {shown(pid)} missing keys")
                     continue
                 if box["side"] not in HAND_SIDES:
-                    add("hand_box_side", f"hand box {j} of pair {pid} has side {box['side']!r}")
+                    add("hand_box_side",
+                        f"hand box {j} of pair {shown(pid)} has side {shown(box['side'])}")
                 x, y, w, h = box["x"], box["y"], box["w"], box["h"]
                 if (w <= 0 or h <= 0 or x < 0 or y < 0
                         or x + w > session.width or y + h > session.height):
-                    add(
-                        "hand_box_bounds",
-                        f"hand box {j} of pair {pid} ({x},{y},{w},{h}) leaves the frame",
-                    )
+                    add("hand_box_bounds",
+                        f"hand box {j} of pair {shown(pid)} {shown((x, y, w, h))} leaves the frame")
 
     def imu(self, s: ImuSample) -> None:
         add, t, last = self.report.add, s.timestamp, self._imu_t
@@ -140,7 +135,8 @@ class StreamCheck:
         add, t, last = self.report.add, fr.timestamp, self.last_frame_t
         self.last_frame_t = t
         if fr.image.shape != self._shape:
-            add("frame_geometry", f"{_name(fr)} has geometry {fr.image.shape}, not {self._shape}")
+            add("frame_geometry",
+                f"{_name(fr)} has geometry {fr.image.shape}, not {shown(self._shape)}")
         if not math.isfinite(t):
             add("frame_nonfinite", f"{_name(fr)} has a non-finite timestamp")
         if t - (last or 0.0) > MAX_RECORD_GAP:
@@ -154,10 +150,11 @@ class StreamCheck:
         self._unnamed.discard(fr.pair_id)
         first, self.waiting = self.waiting, None
         if first is not None and (fr.slot == "a" or fr.pair_id != first.pair_id):
-            add("incomplete_pair", f"pair {first.pair_id} has no slot b")
+            add("incomplete_pair", f"pair {shown(first.pair_id)} has no slot b")
         if fr.slot == "a":
             if self._pair_id is not None and fr.pair_id <= self._pair_id:
-                add("duplicate_frame", f"{_name(fr)} has a pair id not above {self._pair_id}")
+                add("duplicate_frame",
+                    f"{_name(fr)} has a pair id not above {shown(self._pair_id)}")
             self._pair_id, self.waiting = fr.pair_id, fr
         elif first is None or first.pair_id != fr.pair_id:
             add("incomplete_pair", f"{_name(fr)} got slot b before slot a, or not right after it")
@@ -170,7 +167,7 @@ class StreamCheck:
         """No record follows: check a waiting slot a, and the recording as a whole."""
         add, session = self.report.add, self._session
         if self.waiting is not None:
-            add("incomplete_pair", f"pair {self.waiting.pair_id} has no slot b")
+            add("incomplete_pair", f"pair {shown(self.waiting.pair_id)} has no slot b")
         if self.last_frame_t is None:
             add("empty_stream", "session has no frames")
         if self._imu_t is None:
@@ -186,12 +183,12 @@ class StreamCheck:
                     f"proactive interval {i} [{iv.start}, {iv.end}] leaves [0, {horizon}]")
         for pid in session.hand_boxes:
             if pid in self._unnamed:
-                add("hand_box_pair", f"hand boxes recorded for unknown pair {pid}")
+                add("hand_box_pair", f"hand boxes recorded for unknown pair {shown(pid)}")
 
 
 def _name(fr: FrameRecord) -> str:
     """How a broken rule names its frame; written only for a fault."""
-    return f"frame {fr.pair_id}{fr.slot} at t={fr.timestamp}"
+    return f"frame {shown(fr.pair_id)}{fr.slot} at t={fr.timestamp}"
 
 
 class SessionFormatError(ValueError):
@@ -294,7 +291,7 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
     naming the malformed entry, e.g. ``segment 2: ...``.
     """
     if not isinstance(obj, dict):
-        raise ValueError(f"annotations must be a JSON object, got {obj!r:.40}")
+        raise ValueError(f"annotations must be a JSON object, got {shown(obj)}")
     segments: list[StepSegment] = []
     for i, entry in enumerate(field(obj, "segments", list, default=[])):
         start, end, step, status = fields(entry, SEGMENT_FIELDS, f"segment {i}")
@@ -310,16 +307,15 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
         except ValueError as exc:
             raise ValueError(f"proactive interval {i}: {exc}") from None
     hand_boxes: dict[int, list[dict[str, Any]]] = {}
-    # each entry is named, as hand_boxes[<key>] cut as field cuts values, only where refused
     for key, boxes in field(obj, "hand_boxes", dict, default={}).items():
         # int() refuses more than 4300 digits, and no pair id is that long
         if not (key.isascii() and key.removeprefix("-").isdigit() and len(key) <= 4300
                 and str(pid := int(key)) == key):
-            raise ValueError(f"hand_boxes[{key!r:.40}]: the key is not a pair id")
+            raise ValueError(f"hand_boxes[{shown(key)}]: the key is not a pair id")
         if not (isinstance(boxes, list) and all(isinstance(box, dict) for box in boxes)):
-            raise ValueError(f"hand_boxes[{key!r:.40}] must be a JSON array of JSON objects")
+            raise ValueError(f"hand_boxes[{shown(key)}] must be a JSON array of JSON objects")
         hand_boxes[pid] = [
-            {k: v if type(v := box[k]) is tp else field(box, k, tp, f"hand_boxes[{key!r:.40}]")
+            {k: v if type(v := box[k]) is tp else field(box, k, tp, f"hand_boxes[{shown(key)}]")
              for k, tp in HAND_BOX_FIELDS.items() if k in box}
             for box in boxes
         ]
@@ -367,11 +363,11 @@ def load_session(path: str | Path) -> SessionTrace:
             except ValueError as exc:
                 _fail(manifest_path, str(exc))
         # os.path.join's rule: an absolute name replaces the root
-        data = _read_file(file if file.startswith("/") else prefix + file)
+        at = file if file.startswith("/") else prefix + file
         try:
-            image = read_pgm(data)
-        except ValueError as exc:
-            _fail(root / file, str(exc))
+            image = read_pgm(_read_file(at))
+        except ValueError as exc:  # _read_file's, naming ``at`` whole, or read_pgm's
+            _fail(root, f"frame file {shown(file)}: {str(exc).removeprefix(f'{at}: ')}")
         try:
             frames.append(FrameRecord(t, pair_id, slot, image))
         except ValueError as exc:
@@ -387,7 +383,7 @@ def load_session(path: str | Path) -> SessionTrace:
     imu: list[ImuSample] = []
     try:
         if (names := next(rows, None)) is not None and names != IMU_HEADER:
-            _fail(imu_path, f"bad header {names!r}", line=1)
+            _fail(imu_path, f"bad header {shown(names)}", line=1)
         for lineno, row in enumerate(rows, start=2):
             try:
                 t, gx, gy, gz = map(float, row)
@@ -396,7 +392,7 @@ def load_session(path: str | Path) -> SessionTrace:
                     continue
                 if len(row) != 4:
                     _fail(imu_path, f"expected 4 fields, got {len(row)}", line=lineno)
-                _fail(imu_path, f"non-numeric field in {row!r}", line=lineno)
+                _fail(imu_path, f"non-numeric field in {shown(row)}", line=lineno)
             imu.append(ImuSample(t, gx, gy, gz))
     except csv.Error as exc:  # a field over csv's size limit, or (before 3.11) a NUL byte
         _fail(imu_path, f"bad CSV row ({exc})", line=rows.line_num)

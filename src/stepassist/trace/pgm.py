@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 
+from ..jsontext import shown
+
 # magic, width, height and maxval, separated by whitespace and '#' comments
 # that run to the end of their line, then one whitespace byte before the raster
 _HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
@@ -36,7 +38,7 @@ def read_pgm(data: bytes) -> np.ndarray:
         raise ValueError("malformed PGM header")
     w, h, maxval = map(int, header.groups())
     if maxval != 255:
-        raise ValueError(f"unsupported PGM maxval {maxval} (expected 255)")
+        raise ValueError(f"unsupported PGM maxval {shown(maxval)} (expected 255)")
     if w <= 0 or h <= 0:
         raise ValueError(f"bad PGM dimensions {w}x{h}")
     end = header.end() + w * h

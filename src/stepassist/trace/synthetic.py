@@ -35,6 +35,9 @@ from .types import (
     StepSegment,
 )
 
+BURST_LEVEL = 0.3  # the gyro magnitude between a script's base motion and its bursts
+FLOW_SEARCH_RADIUS = 15  # the most pixels a scripted move may shift a hand or the scene
+
 
 @dataclass(frozen=True)
 class PhaseSpec:
@@ -108,8 +111,6 @@ class SyntheticScript:
     imu_period: float = 0.25
     base_motion: float = 0.08
     burst_motion: float = 0.8
-    burst_level: float = 0.3
-    flow_search_radius: int = 15
     seed: int = 0
     guideline_doc_id: str | None = None
 
@@ -141,7 +142,7 @@ class SyntheticScript:
             raise ScriptError("frame grid must exceed the intra-pair gap")
         if self.imu_period <= 0:
             raise ScriptError("imu period must be positive")
-        if not (0 <= self.base_motion < self.burst_level < self.burst_motion):
+        if not (0 <= self.base_motion < BURST_LEVEL < self.burst_motion):
             raise ScriptError("need base_motion < burst_level < burst_motion")
         for w0, w1 in self.burst_windows:
             if not (0 <= w0 < w1 <= total):
@@ -155,7 +156,7 @@ class SyntheticScript:
         if len(set(sides)) != len(sides) or any(s not in ("left", "right") for s in sides):
             raise ScriptError(f"hand sides must be unique left/right, got {sides}")
 
-        r = self.flow_search_radius
+        r = FLOW_SEARCH_RADIUS
         for track in self.hands:
             positions = [(track.x, track.y)]
             for mv in track.moves:
@@ -229,7 +230,7 @@ def generate_synthetic(script: SyntheticScript) -> SessionTrace:
     total = cursor
 
     # fixed draw order keeps traces bit-identical for a given seed
-    pad = script.flow_search_radius
+    pad = FLOW_SEARCH_RADIUS
     if script.global_moves:
         master = rng.integers(20, 121, size=(h + 2 * pad, w + 2 * pad), dtype=np.uint8)
         background = None

@@ -14,6 +14,10 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from ..jsontext import shown
+
+HAND_SIDES = ("left", "right", "unknown")
+
 
 class ExecutionStatus(str, Enum):
     """Execution phase of the current procedural step."""
@@ -28,7 +32,7 @@ class ExecutionStatus(str, Enum):
         try:
             return cls(value)
         except ValueError:
-            raise ValueError(f"unknown execution status {value!r}") from None
+            raise ValueError(f"unknown execution status {shown(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class FrameRecord:
 
     def __post_init__(self) -> None:
         if self.slot not in ("a", "b"):
-            raise ValueError(f"frame slot must be 'a' or 'b', got {self.slot!r}")
+            raise ValueError(f"frame slot must be 'a' or 'b', got {shown(self.slot)}")
         if self.image.ndim != 2 or self.image.dtype != np.uint8:
             raise ValueError("frame image must be a 2-d uint8 array")
 

@@ -864,29 +864,29 @@ def test_report_writes_undefined_for_missing_denominators(tmp_path):
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config key typo"):
+    with pytest.raises(ValueError, match="unknown config key 'typo'"):
         config_from_dict({"typo": 1})
-    with pytest.raises(ValueError, match="unknown config key sampler.tau"):
+    with pytest.raises(ValueError, match="unknown config key 'sampler.tau'"):
         config_from_dict({"sampler": {"tau": 0.3}})
-    with pytest.raises(ValueError, match="unknown config key reasoner.oracle.rate"):
+    with pytest.raises(ValueError, match="unknown config key 'reasoner.oracle.rate'"):
         config_from_dict({"reasoner": {"oracle": {"rate": 0.5}}})
     # removed knobs: pacing is a replay/send argument, flow has one grid and one cost
-    with pytest.raises(ValueError, match="unknown config key pace"):
+    with pytest.raises(ValueError, match="unknown config key 'pace'"):
         config_from_dict({"pace": True})
-    with pytest.raises(ValueError, match="unknown config key flow.cost"):
+    with pytest.raises(ValueError, match="unknown config key 'flow.cost'"):
         config_from_dict({"flow": {"cost": "sad"}})
-    with pytest.raises(ValueError, match="unknown config key flow.grid_stride"):
+    with pytest.raises(ValueError, match="unknown config key 'flow.grid_stride'"):
         config_from_dict({"flow": {"grid_stride": 4}})
     # the session sets the pair gap; the synthetic detector's cut-offs are constants
     for key in ("sampler.pair_gap", "detector.threshold", "detector.min_area"):
         section, name = key.split(".")
-        with pytest.raises(ValueError, match=f"unknown config key {key}"):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             config_from_dict({section: {name: 1}})
     # the structurer is remote exactly when its endpoint is set
-    with pytest.raises(ValueError, match="unknown config key structurer.kind"):
+    with pytest.raises(ValueError, match="unknown config key 'structurer.kind'"):
         config_from_dict({"structurer": {"kind": "remote"}})
     # stage timings never enter the event log
-    with pytest.raises(ValueError, match="unknown config key record_latency"):
+    with pytest.raises(ValueError, match="unknown config key 'record_latency'"):
         config_from_dict({"record_latency": True})
 
 

@@ -234,7 +234,7 @@ def test_a_line_nested_too_deeply_keeps_the_connection(server):
     with raw_client(server) as (send, recv):
         send(b"[" * 100_000)
         err = recv()
-        assert err["code"] == "bad_json" and "recursion" in err["detail"]
+        assert err["code"] == "bad_json" and "nested too deeply" in err["detail"]
         send(start_message())
         assert recv()["of"] == "session_start"
 
@@ -759,6 +759,14 @@ def test_cli_input_faults_exit_2_with_one_line(tmp_path, capsys, session_dir):
     assert main(["replay", "--session", str(session_dir), "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"stepassist: error: {config}: Expecting property name")
+
+    # a file of the wrong shape, with a flag to lay over it
+    for text, message in [("[1]", "config must be an object, got [1]"),
+                          ('{"sampler": 5}', "config sampler must be an object, got 5")]:
+        config.write_text(text)
+        argv = ["replay", "--session", str(session_dir), "--config", str(config), "--tau-s", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"stepassist: error: {message}\n"
 
     broken = write_session(load_session(session_dir), tmp_path / "broken")
     manifest = json.loads((broken / "manifest.json").read_text())

@@ -240,7 +240,7 @@ LOAD_REFUSALS = {
     "manifest-json": "manifest.json:2: invalid JSON",
     "manifest-key": "manifest.json: missing key 'pair_gap'",
     "frame-entry-key": "manifest.json: frame entry 1 missing key 'slot'",
-    "frame-not-pgm": "000000_b.pgm: not a PGM image",
+    "frame-not-pgm": "sess: frame file 'frames/000000_b.pgm': not a PGM image",
     "imu-header": "imu.csv:1: bad header",
     "imu-row-fields": "imu.csv:3: expected 4 fields, got 3",
     "non-numeric-field": "imu.csv:3: non-numeric field",
@@ -371,7 +371,7 @@ def test_an_empty_frame_file_is_not_a_pgm_image(tmp_path):
     (root / name).write_bytes(b"")
     with pytest.raises(SessionFormatError) as err:
         load_session(root)
-    assert str(err.value) == f"{root / name}: not a PGM image (expected P5 magic)"
+    assert str(err.value) == f"{root}: frame file {name!r}: not a PGM image (expected P5 magic)"
 
 
 def test_read_pgm_is_called_once_per_loaded_frame(tmp_path, monkeypatch, standard_trace):
@@ -405,7 +405,7 @@ def test_a_frame_path_that_is_not_a_regular_file_is_missing(tmp_path, kind):
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(SessionFormatError) as err:
         load_session(root)
-    assert str(err.value) == f"{root / name}: missing file"
+    assert str(err.value) == f"{root}: frame file {name!r}: missing file"
 
 
 # -- validation ------------------------------------------------------------

@@ -91,8 +91,11 @@ def _choice(values: list):
     return st.integers(0, len(values) - 1).map(lambda i: values[i])
 
 
+# values no reply may echo whole: every refusal shows one cut to 40 characters
+LONG_TEXT = _choice(["x" * 100_000, "7" * 100_000 + "just_start"])
+LONG = LONG_TEXT | _choice([10**3999, -(10**3999)])
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | LONG,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                  max_size=3),
     max_leaves=6,
@@ -125,16 +128,17 @@ PGMS = st.one_of(
               st.integers(-2, 200)),
 )
 HAND_BOXES = st.dictionaries(
-    _choice(["1" * 5000, "-0", "01", "0", "1", "x", "1.5", "٣"]) | st.text(max_size=5),
+    _choice(["1" * 5000, "9" * 4000, "-0", "01", "0", "1", "x", "1.5", "٣"]) | st.text(max_size=5),
     JSON_VALUES | st.lists(st.dictionaries(st.sampled_from(["side", "x", "y", "w", "h"]),
                                            JSON_VALUES | NUMBERS, max_size=5), max_size=2),
     max_size=2,
 )
 TIMES = NUMBERS | st.floats() | st.integers(-2, 10)
-STEPS = _choice([seg["step"] for seg in START["annotations"]["segments"]]) | st.text(max_size=3)
+STEPS = _choice([seg["step"] for seg in START["annotations"]["segments"]]) | st.text(max_size=3) \
+    | LONG_TEXT
 SEGMENTS = st.lists(st.fixed_dictionaries({
     "start": TIMES, "end": TIMES, "step": STEPS,
-    "status": st.sampled_from(["just_start", "in_progress", "about_to_finish", "done"]),
+    "status": st.sampled_from(["just_start", "in_progress", "about_to_finish", "done"]) | LONG_TEXT,
 }), max_size=3)
 INTERVALS = st.lists(st.fixed_dictionaries({"start": TIMES, "end": TIMES, "step": STEPS}),
                      max_size=2)
@@ -219,6 +223,7 @@ class WireMachine(RuleBasedStateMachine):
             assert reply["type"] in ("ack", "assist", "error"), reply
             if reply["type"] == "error":
                 assert reply["code"] in CODES, reply
+                assert len(reply["detail"]) <= 1000, reply["detail"][:1000]
             elif reply["type"] == "ack":
                 assert reply["of"] in ("session_start", "pair", "session_end"), reply
         assert keep_open is not (bool(replies) and replies[-1].get("code") == PROTOCOL_MISMATCH)
@@ -313,12 +318,39 @@ TestWireFuzz = WireMachine.TestCase
 
 # each hostile line once faulted the server; the fuzzer must keep finding it harmless
 PINNED_5000_DIGIT_HAND_BOX_KEY = start_line(annotations={"hand_boxes": {"1" * 5000: []}})
-
+# each was once echoed whole in an error reply of over 4 000 characters
+X, DIGITS = "x" * 100_000, 10**3999
+SEGMENT = {"start": 0.0, "end": 1.0, "step": "Sand the edges", "status": "in_progress"}
+BOX = {"side": "left", "x": 0, "y": 0, "w": 1, "h": 1}
+PINNED_LONG = {
+    "message type": (False, line({"type": X})),
+    "protocol": (False, start_line(protocol=X)),
+    "segment status": (False, start_line(annotations={"segments": [{**SEGMENT, "status": X}]})),
+    "interval step": (False, start_line(annotations={
+        "segments": [SEGMENT], "proactive_intervals": [{**SEGMENT, "step": X}]})),
+    "hand box side": (False, start_line(annotations={"hand_boxes": {"0": [{**BOX, "side": X}]}})),
+    "hand box pair id": (False, start_line(annotations={
+        "hand_boxes": {"9" * 4000: [{**BOX, "x": -1}]}})),
+    "hand box x": (False, start_line(annotations={"hand_boxes": {"0": [{**BOX, "x": -DIGITS}]}})),
+    "width": (False, start_line(width=-DIGITS)),
+    "frame slot": (True, line({**FRAMES[0], "slot": X})),
+    "frame pair id": (True, line({**FRAMES[0], "pair": DIGITS})),
+}
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(opened=st.booleans(), raw=HOSTILE)
 @example(opened=False, raw=PINNED_5000_DIGIT_HAND_BOX_KEY)
+@example(*PINNED_LONG["message type"])
+@example(*PINNED_LONG["protocol"])
+@example(*PINNED_LONG["segment status"])
+@example(*PINNED_LONG["interval step"])
+@example(*PINNED_LONG["hand box side"])
+@example(*PINNED_LONG["hand box pair id"])
+@example(*PINNED_LONG["hand box x"])
+@example(*PINNED_LONG["width"])
+@example(*PINNED_LONG["frame slot"])
+@example(*PINNED_LONG["frame pair id"])
 def test_one_hostile_line_then_a_fresh_session_serves_like_replay(opened, raw):
     machine = WireMachine()
     if opened:
