@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .context import ProgressRecord
+from .jsontext import shown
 from .reasoner import ExecutionStatus, ReasonerOutput
 
 
@@ -25,13 +26,13 @@ class CheckerConfig:
 
     def __post_init__(self) -> None:
         if self.window < 1:
-            raise ValueError(f"window must be at least 1, got {self.window}")
+            raise ValueError(f"window must be at least 1, got {shown(self.window)}")
         if not 0.0 < self.tau_c <= 1.0:
-            raise ValueError(f"tau_c must be in (0, 1], got {self.tau_c}")
+            raise ValueError(f"tau_c must be in (0, 1], got {shown(self.tau_c)}")
         if not 1 <= self.min_window <= self.window:
             raise ValueError(
-                f"min_window must be in [1, window], got {self.min_window} "
-                f"with window {self.window}"
+                f"min_window must be in [1, window], got {shown(self.min_window)} "
+                f"with window {shown(self.window)}"
             )
 
 

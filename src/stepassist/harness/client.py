@@ -8,7 +8,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..jsontext import loads
+from ..jsontext import loads, shown
 from ..trace.io import annotations_to_obj, header_to_obj
 from ..trace.pgm import write_pgm
 from ..trace.types import FrameRecord, ImuSample, SessionTrace
@@ -62,17 +62,18 @@ def stream_session(
     session_end, while a reader thread drains acks, assists, and errors.
     Returns once the session_end ack arrives. Raises RuntimeError, naming the
     server's error code, if the server drops the session, closes or goes
-    silent first; a reply that is not a JSON object, too deep to decode
+    silent first, or naming the session and the seconds waited if the server
+    stops reading; a reply that is not a JSON object, too deep to decode
     included, reads as a close. Sending stops as soon as the session is dropped.
     """
     result = StreamResult(session_id=session_id)
     done = threading.Event()
+    stalled = f"session {shown(session_id)} timed out after {timeout}s"
 
     sock = socket.create_connection((host, port), timeout=timeout)
     try:
         sock.settimeout(timeout)
         rfile = sock.makefile("rb")
-        wfile = sock.makefile("wb")
 
         def read_replies() -> None:
             try:
@@ -100,8 +101,7 @@ def stream_session(
         reader.start()
 
         def send(obj: dict[str, Any]) -> None:
-            wfile.write(json.dumps(obj).encode("utf-8") + b"\n")
-            wfile.flush()
+            sock.sendall(json.dumps(obj).encode("utf-8") + b"\n")
 
         start_msg: dict[str, Any] = {
             "type": "session_start",
@@ -122,9 +122,11 @@ def stream_session(
                 send({"type": "session_end"})
         except (BrokenPipeError, ConnectionResetError):
             pass  # server hung up; the reader captured whatever it said
+        except TimeoutError:  # the server stopped reading
+            raise RuntimeError(f"{stalled} sending to the server") from None
 
         if not done.wait(timeout):
-            raise RuntimeError("timed out waiting for the session_end ack")
+            raise RuntimeError(f"{stalled} waiting for the session_end ack")
         reader.join(timeout=5.0)
     finally:
         sock.close()

@@ -8,9 +8,9 @@ built, so a run never trips over a bad config mid-session.
 from __future__ import annotations
 
 import dataclasses
+import os
 import typing
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from ..checker import CheckerConfig
@@ -66,8 +66,9 @@ class PipelineConfig:
     corpus_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.corpus_dir is not None and not Path(self.corpus_dir).is_dir():
-            raise ValueError(f"corpus directory {self.corpus_dir} does not exist")
+        # os.path.isdir, not Path.is_dir: a name too long to look up is absent, not an OSError
+        if self.corpus_dir is not None and not os.path.isdir(self.corpus_dir):
+            raise ValueError(f"corpus directory {shown(self.corpus_dir)} does not exist")
 
 
 def _build(cls: type, obj: Any, path: str, over: dict[str, Any]) -> Any:

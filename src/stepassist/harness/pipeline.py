@@ -51,7 +51,7 @@ from ..reasoner import (
     flag_off_guideline,
 )
 from ..trace.io import StreamCheck
-from ..trace.types import FramePair, FrameRecord, ImuSample, SessionTrace
+from ..trace.types import FramePair, FrameRecord, ImuSample, Session, SessionTrace
 from .config import PipelineConfig
 from .events import (
     DELIVERY,
@@ -133,9 +133,9 @@ class SessionPipeline:
     log accumulates on ``self.log``.
 
     ``session`` sets the instruction, the frame size, the pair gap and the
-    annotations; its ``frames`` and ``imu`` are never read. The constructor,
-    each feed and ``finish`` raise ValueError naming the first StreamCheck
-    rule broken, ``finish`` for the rules that need the whole recording.
+    annotations. The constructor, each feed and ``finish`` raise ValueError
+    naming the first StreamCheck rule broken, ``finish`` for the rules that
+    need the whole recording.
 
     ``imu`` and ``pairs`` hold a causal window, not the session: deciding a
     time cuts the gyro back to ``smoothing_window`` before the next one, and
@@ -146,7 +146,7 @@ class SessionPipeline:
     def __init__(
         self,
         cfg: PipelineConfig,
-        session: SessionTrace,
+        session: Session,
         *,
         reasoner: Reasoner | None = None,
     ):

@@ -38,7 +38,7 @@ from typing import Any, Callable
 from ..jsontext import TOO_DEEP, field, fields, fits, shown
 from ..trace.io import annotations_from_obj, header_from_obj
 from ..trace.pgm import read_pgm
-from ..trace.types import FrameRecord, ImuSample, SessionTrace
+from ..trace.types import FrameRecord, ImuSample, Session
 from .config import PipelineConfig
 from .events import DELIVERY, Event, EventLog, run_counts
 from .pipeline import SessionPipeline
@@ -97,13 +97,9 @@ class WireSession:
                 self._send_error(SESSION_ACTIVE, "finish the open session first")
             elif kind == "session_start":
                 self.session_id = field(msg, "session_id", str, default="")
-                session = SessionTrace(
-                    **header_from_obj(msg),
-                    **annotations_from_obj(field(msg, "annotations", dict, default={})),
-                    frames=[],
-                    imu=[],
-                )
-                self.engine = SessionPipeline(self.owner.cfg, session)
+                header = header_from_obj(msg)  # before the annotations, as load_session reads
+                annotations = annotations_from_obj(field(msg, "annotations", dict, default={}))
+                self.engine = SessionPipeline(self.owner.cfg, Session(**header, **annotations))
                 self.replies.append(
                     {"type": "ack", "of": "session_start", "session_id": self.session_id}
                 )

@@ -17,7 +17,7 @@ from typing import Sequence
 from .harness.events import DELIVERY, REASONED, SAMPLED_PAIR, EventLog
 from .jsontext import fields
 from .reasoner import VERDICT_FIELDS
-from .trace.types import ExecutionStatus, ProactiveInterval, SessionTrace
+from .trace.types import ExecutionStatus, ProactiveInterval, Session
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class MomentRecord:
     interval_id: int | None
 
 
-def align(log: EventLog, trace: SessionTrace) -> list[MomentRecord]:
+def align(log: EventLog, session: Session) -> list[MomentRecord]:
     """Join reasoned events (read by ``jsontext.field``) with segments, intervals, outcomes."""
     delivered_at = {
         ev.t for ev in log.of_kind(DELIVERY)
@@ -51,10 +51,10 @@ def align(log: EventLog, trace: SessionTrace) -> list[MomentRecord]:
             pred_status = ExecutionStatus.parse(status)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        seg = trace.segment_at(t)
-        need = trace.need_at(t)
+        seg = session.segment_at(t)
+        need = session.need_at(t)
         # equal intervals contain the same t, so index() finds the first container
-        interval_id = None if need is None else trace.proactive_intervals.index(need)
+        interval_id = None if need is None else session.proactive_intervals.index(need)
         records.append(
             MomentRecord(
                 timestamp=t,
@@ -162,9 +162,9 @@ def _ratio(num: int, den: int) -> float | None:
     return num / den if den else None
 
 
-def compute_metrics(log: EventLog, trace: SessionTrace) -> MetricsReport:
+def compute_metrics(log: EventLog, session: Session) -> MetricsReport:
     """Score a finished run; an empty run is reportable, just mostly undefined."""
-    records = align(log, trace)
+    records = align(log, session)
     annotated = [r for r in records if r.annotated]
     needed = [r for r in records if r.need]
     counts = {
@@ -180,10 +180,10 @@ def compute_metrics(log: EventLog, trace: SessionTrace) -> MetricsReport:
     }
 
     sts_value: float | None = None
-    if trace.proactive_intervals:
-        result = sts(records, trace.proactive_intervals)
+    if session.proactive_intervals:
+        result = sts(records, session.proactive_intervals)
         sts_value = result.value
-        counts["intervals"] = len(trace.proactive_intervals)
+        counts["intervals"] = len(session.proactive_intervals)
         counts["intervals_triggered"] = sum(t is not None for t in result.trigger_times)
 
     sampled = len(log.of_kind(SAMPLED_PAIR))

@@ -76,12 +76,12 @@ class FlowConfig:
 
     def __post_init__(self) -> None:
         if self.block < 2:
-            raise ValueError(f"block size must be at least 2, got {self.block}")
+            raise ValueError(f"block size must be at least 2, got {shown(self.block)}")
         if self.block > MAX_BLOCK:
             # keeps every SAD and window sum below 2^24 (see the module docstring)
-            raise ValueError(f"block size must be at most {MAX_BLOCK}, got {self.block}")
+            raise ValueError(f"block size must be at most {MAX_BLOCK}, got {shown(self.block)}")
         if self.search_radius < 1:
-            raise ValueError(f"search radius must be at least 1, got {self.search_radius}")
+            raise ValueError(f"search radius must be at least 1, got {shown(self.search_radius)}")
 
 
 @dataclass(frozen=True)
@@ -378,10 +378,7 @@ class AnnotationDetector:
         self._boxes = boxes_by_pair
 
     def detect(self, frame: FrameRecord) -> list[HandBox]:
-        return [
-            HandBox(b["side"], b["x"], b["y"], b["w"], b["h"])
-            for b in self._boxes.get(frame.pair_id, ())
-        ]
+        return [HandBox(**b) for b in self._boxes.get(frame.pair_id, ())]
 
 
 class SyntheticDetector:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
+from .jsontext import shown
 from .motion import (
     FlowConfig,
     FlowSummary,
@@ -40,12 +41,12 @@ class SamplerConfig:
         if not 0 < self.burst_interval < self.normal_interval:
             raise ValueError(
                 f"need 0 < burst_interval < normal_interval, got "
-                f"{self.burst_interval} and {self.normal_interval}"
+                f"{shown(self.burst_interval)} and {shown(self.normal_interval)}"
             )
         if not 0 < self.smoothing_window <= self.normal_interval:
-            raise ValueError(f"smoothing window {self.smoothing_window} out of range")
+            raise ValueError(f"smoothing window {shown(self.smoothing_window)} out of range")
         if self.tau_s <= 0:
-            raise ValueError(f"tau_s must be positive, got {self.tau_s}")
+            raise ValueError(f"tau_s must be positive, got {shown(self.tau_s)}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class KeyMomentConfig:
         if not self.tau_f > self.stationary_threshold > 0:
             raise ValueError(
                 f"need tau_f > stationary_threshold > 0, got "
-                f"{self.tau_f} and {self.stationary_threshold}"
+                f"{shown(self.tau_f)} and {shown(self.stationary_threshold)}"
             )
 
 

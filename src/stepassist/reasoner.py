@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 from typing import Protocol, Sequence, Union
 
 from .httpchat import chat_complete
-from .jsontext import extract_first_json, field, fields
+from .jsontext import extract_first_json, field, fields, shown
 from .trace.pgm import write_pgm
 from .trace.types import (
     ExecutionStatus,
     ProactiveInterval,
-    SessionTrace,
+    Session,
     StepSegment,
     step_vocabulary,
 )
@@ -168,7 +168,7 @@ class OracleConfig:
         for name in ("step_error_rate", "status_error_rate", "proactive_flip_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
+                raise ValueError(f"{name} must be in [0, 1], got {shown(rate)}")
 
 
 class OracleReasoner:
@@ -196,8 +196,8 @@ class OracleReasoner:
         self._starts = [s.start for s in self.segments]
 
     @classmethod
-    def from_trace(cls, trace: SessionTrace, cfg: OracleConfig = OracleConfig()) -> "OracleReasoner":
-        return cls(trace.segments, trace.proactive_intervals, cfg)
+    def from_trace(cls, session: Session, cfg: OracleConfig = OracleConfig()) -> "OracleReasoner":
+        return cls(session.segments, session.proactive_intervals, cfg)
 
     def _ground_truth(self, t: float) -> tuple[str, ExecutionStatus]:
         idx = bisect_right(self._starts, t) - 1

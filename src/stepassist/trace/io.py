@@ -35,6 +35,7 @@ from .types import (
     FrameRecord,
     ImuSample,
     ProactiveInterval,
+    Session,
     SessionTrace,
     StepSegment,
     ValidationReport,
@@ -56,10 +57,11 @@ class StreamCheck:
     check the sensor streams one record at a time; ``end`` checks the whole
     recording against the annotations. Each broken rule is added to ``report``.
     ``validate_session``, the engine and so the wire all run one, so they
-    refuse the same sessions.
+    refuse the same sessions. Hand boxes are taken as the annotation codec
+    reads them: whole, with a known side.
     """
 
-    def __init__(self, session: SessionTrace):
+    def __init__(self, session: Session):
         self.report = ValidationReport()
         self.waiting: FrameRecord | None = None  # the slot a whose slot b is due next
         self.last_frame_t: float | None = None
@@ -103,12 +105,6 @@ class StreamCheck:
 
         for pid, boxes in session.hand_boxes.items():
             for j, box in enumerate(boxes):
-                if not box.keys() >= HAND_BOX_FIELDS.keys():
-                    add("hand_box_keys", f"hand box {j} of pair {shown(pid)} missing keys")
-                    continue
-                if box["side"] not in HAND_SIDES:
-                    add("hand_box_side",
-                        f"hand box {j} of pair {shown(pid)} has side {shown(box['side'])}")
                 x, y, w, h = box["x"], box["y"], box["w"], box["h"]
                 if (w <= 0 or h <= 0 or x < 0 or y < 0
                         or x + w > session.width or y + h > session.height):
@@ -251,13 +247,13 @@ INTERVAL_FIELDS = {"start": float, "end": float, "step": str}
 IMU_HEADER = ["timestamp", "gx", "gy", "gz"]
 
 
-def header_to_obj(trace: SessionTrace) -> dict[str, Any]:
+def header_to_obj(session: Session) -> dict[str, Any]:
     """JSON form of a session's header, as in manifest.json and session_start."""
-    return {key: getattr(trace, key) for key in HEADER_FIELDS}
+    return {key: getattr(session, key) for key in HEADER_FIELDS}
 
 
 def header_from_obj(obj: Any) -> dict[str, Any]:
-    """Inverse of header_to_obj, as SessionTrace keyword arguments.
+    """Inverse of header_to_obj, as Session keyword arguments.
 
     Raises ValueError naming a missing field or one not of its HEADER_FIELDS
     type, e.g. ``width must be an integer, got 320.9``. Other keys are ignored.
@@ -267,28 +263,29 @@ def header_from_obj(obj: Any) -> dict[str, Any]:
     return dict(zip(HEADER_FIELDS, fields(obj, HEADER_FIELDS)))
 
 
-def annotations_to_obj(trace: SessionTrace) -> dict[str, Any]:
+def annotations_to_obj(session: Session) -> dict[str, Any]:
     """JSON form of a session's annotations, as in annotations.json and session_start."""
     return {
         "segments": [
             {"start": s.start, "end": s.end, "step": s.step, "status": s.status.value}
-            for s in trace.segments
+            for s in session.segments
         ],
         "proactive_intervals": [
             {"start": iv.start, "end": iv.end, "step": iv.step}
-            for iv in trace.proactive_intervals
+            for iv in session.proactive_intervals
         ],
-        "hand_boxes": {str(pid): boxes for pid, boxes in sorted(trace.hand_boxes.items())},
+        "hand_boxes": {str(pid): boxes for pid, boxes in sorted(session.hand_boxes.items())},
     }
 
 
 def annotations_from_obj(obj: Any) -> dict[str, Any]:
-    """Inverse of annotations_to_obj, as SessionTrace keyword arguments.
+    """Inverse of annotations_to_obj, as Session keyword arguments.
 
     Fields are read as ``header_from_obj`` reads them; a ``hand_boxes`` key
-    must be written as annotations_to_obj writes it, and a hand box field
-    that is absent is left to the ``hand_box_keys`` rule. Raises ValueError
-    naming the malformed entry, e.g. ``segment 2: ...``.
+    must be written as annotations_to_obj writes it, and a hand box is read
+    whole: all of HAND_BOX_FIELDS, other keys dropped, its side one of
+    HAND_SIDES. Raises ValueError naming the malformed entry, e.g.
+    ``segment 2: ...`` or ``hand_boxes['0'] missing key 'h'``.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"annotations must be a JSON object, got {shown(obj)}")
@@ -314,11 +311,12 @@ def annotations_from_obj(obj: Any) -> dict[str, Any]:
             raise ValueError(f"hand_boxes[{shown(key)}]: the key is not a pair id")
         if not (isinstance(boxes, list) and all(isinstance(box, dict) for box in boxes)):
             raise ValueError(f"hand_boxes[{shown(key)}] must be a JSON array of JSON objects")
-        hand_boxes[pid] = [
-            {k: v if type(v := box[k]) is tp else field(box, k, tp, f"hand_boxes[{shown(key)}]")
-             for k, tp in HAND_BOX_FIELDS.items() if k in box}
-            for box in boxes
-        ]
+        hand_boxes[pid] = [{k: v if type(v := box.get(k)) is tp
+                            else field(box, k, tp, f"hand_boxes[{shown(key)}]")
+                            for k, tp in HAND_BOX_FIELDS.items()} for box in boxes]
+        if bad := [box["side"] for box in hand_boxes[pid] if box["side"] not in HAND_SIDES]:
+            raise ValueError(f"hand_boxes[{shown(key)}]: side must be {'/'.join(HAND_SIDES)}, "
+                             f"got {shown(bad[0])}")
     return {"segments": segments, "proactive_intervals": intervals, "hand_boxes": hand_boxes}
 
 
@@ -348,8 +346,7 @@ def load_session(path: str | Path) -> SessionTrace:
     except ValueError as exc:
         _fail(ann_path, str(exc))
     # as a session_start is read: both codecs, then the header's rules, before any frame
-    bare = SessionTrace(**header, frames=[], imu=[], segments=[], proactive_intervals=[])
-    if not (report := StreamCheck(bare).report).ok:
+    if not (report := StreamCheck(Session(**header)).report).ok:
         _fail(manifest_path, str(report))
 
     frames: list[FrameRecord] = []

@@ -9,7 +9,7 @@ from ``script.seed``).
 
 Design notes that keep downstream math exact:
 
-- Frame pairs are recorded on a fixed grid (default 0.5 s) covering both
+- Frame pairs are recorded on a fixed grid (``FRAME_GRID``, 0.5 s) covering both
   sampling rates, so a scheduler emitting times on that grid binds exactly.
 - IMU samples are emitted every ``imu_period`` seconds (default 0.25, a
   dyadic float, so k * period is exact). Running the sampler with its
@@ -35,7 +35,10 @@ from .types import (
     StepSegment,
 )
 
-BURST_LEVEL = 0.3  # the gyro magnitude between a script's base motion and its bursts
+FRAME_GRID = 0.5  # seconds between the first frames of consecutive pairs
+# gyro magnitudes outside and inside the burst windows, either side of the default tau_s
+BASE_MOTION = 0.08
+BURST_MOTION = 0.8
 FLOW_SEARCH_RADIUS = 15  # the most pixels a scripted move may shift a hand or the scene
 
 
@@ -106,11 +109,8 @@ class SyntheticScript:
     width: int = 120
     height: int = 96
     patch: int = 24
-    frame_grid: float = 0.5
     pair_gap: float = 0.1
     imu_period: float = 0.25
-    base_motion: float = 0.08
-    burst_motion: float = 0.8
     seed: int = 0
     guideline_doc_id: str | None = None
 
@@ -133,17 +133,13 @@ class SyntheticScript:
                     )
 
         total = self.total_duration
-        cycles = total / self.frame_grid
+        cycles = total / FRAME_GRID
         if abs(cycles - round(cycles)) > 1e-9:
-            raise ScriptError(
-                f"total duration {total} is not a multiple of frame grid {self.frame_grid}"
-            )
-        if self.frame_grid <= self.pair_gap:
+            raise ScriptError(f"total duration {total} is not a multiple of frame grid {FRAME_GRID}")
+        if FRAME_GRID <= self.pair_gap:
             raise ScriptError("frame grid must exceed the intra-pair gap")
         if self.imu_period <= 0:
             raise ScriptError("imu period must be positive")
-        if not (0 <= self.base_motion < BURST_LEVEL < self.burst_motion):
-            raise ScriptError("need base_motion < burst_level < burst_motion")
         for w0, w1 in self.burst_windows:
             if not (0 <= w0 < w1 <= total):
                 raise ScriptError(f"burst window ({w0}, {w1}) leaves [0, {total}]")
@@ -201,8 +197,8 @@ def _boxes_overlap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -
 def _pair_times(script: SyntheticScript) -> list[float]:
     # one pair per grid slot, inclusive of the final boundary so the last
     # frame's timestamp covers every annotation
-    n = round(script.total_duration / script.frame_grid)
-    return [k * script.frame_grid for k in range(n + 1)]
+    n = round(script.total_duration / FRAME_GRID)
+    return [k * FRAME_GRID for k in range(n + 1)]
 
 
 def _global_displacement_at(script: SyntheticScript, t: float) -> tuple[int, int]:
@@ -275,7 +271,7 @@ def generate_synthetic(script: SyntheticScript) -> SessionTrace:
         if t > horizon:
             break
         inside = any(w0 <= t < w1 for w0, w1 in script.burst_windows)
-        mag = script.burst_motion if inside else script.base_motion
+        mag = BURST_MOTION if inside else BASE_MOTION
         imu.append(ImuSample(t, mag, 0.0, 0.0))
         k += 1
 

@@ -1,14 +1,14 @@
 """Core record types for recorded egocentric sessions.
 
-A session couples a frame stream (grayscale, grouped into two-frame pairs),
-a gyroscope stream, and ground-truth annotations (step segments and proactive
-intervals) under a single natural-language task instruction.
+A ``Session`` is what is fixed at session start: the task instruction, frame
+geometry, pair gap and ground-truth annotations. A ``SessionTrace`` adds the
+recorded streams: grayscale frames in two-frame pairs, and gyroscope samples.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Iterator
 
@@ -120,28 +120,22 @@ def step_vocabulary(segments: Iterable[StepSegment]) -> list[str]:
 
 
 @dataclass
-class SessionTrace:
-    """A fully loaded session.
-
-    ``hand_boxes`` optionally maps pair id to recorded hand boxes, each a dict
-    with keys side/x/y/w/h; only annotation-backed hand detection reads them.
+class Session:
+    """The header and the annotations: all the engine, the wire, ``StreamCheck``
+    and the scorer read. ``hand_boxes`` optionally maps pair id to recorded
+    hand boxes, each a JSON object with the keys side/x/y/w/h, as the
+    annotation codec reads it whole; only annotation-backed hand detection
+    reads them.
     """
 
     instruction: str
     width: int
     height: int
     pair_gap: float
-    frames: list[FrameRecord]
-    imu: list[ImuSample]
-    segments: list[StepSegment]
-    proactive_intervals: list[ProactiveInterval]
+    segments: list[StepSegment] = field(default_factory=list)
+    proactive_intervals: list[ProactiveInterval] = field(default_factory=list)
     hand_boxes: dict[int, list[dict[str, Any]]] = field(default_factory=dict)
     guideline_doc_id: str | None = None
-
-    @property
-    def duration(self) -> float:
-        """Timestamp of the last recorded frame (0.0 for an empty frame stream)."""
-        return self.frames[-1].timestamp if self.frames else 0.0
 
     def segment_at(self, t: float) -> StepSegment | None:
         for seg in self.segments:
@@ -159,6 +153,20 @@ class SessionTrace:
     def step_labels(self) -> list[str]:
         """Unique step labels in order of first appearance in the segments."""
         return step_vocabulary(self.segments)
+
+
+@dataclass
+class SessionTrace(Session):
+    """A session with its recorded sensor streams, as generated, written and loaded."""
+
+    _: KW_ONLY
+    frames: list[FrameRecord]
+    imu: list[ImuSample]
+
+    @property
+    def duration(self) -> float:
+        """Timestamp of the last recorded frame (0.0 for an empty frame stream)."""
+        return self.frames[-1].timestamp if self.frames else 0.0
 
     def iter_sensor_records(self) -> Iterator[ImuSample | FrameRecord]:
         """Both sensor streams merged by timestamp, each in its recorded order.

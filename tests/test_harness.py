@@ -59,6 +59,7 @@ from stepassist.reasoner import (
 )
 from stepassist.trace.io import validate_session
 from stepassist.trace.synthetic import (
+    FRAME_GRID,
     HandMove,
     HandTrack,
     PhaseSpec,
@@ -71,6 +72,7 @@ from stepassist.trace.types import (
     ExecutionStatus,
     FrameRecord,
     ImuSample,
+    Session,
     SessionTrace,
     StepSegment,
 )
@@ -188,16 +190,8 @@ def test_paced_records_do_not_add_up_each_sleeps_overshoot(monkeypatch):
 
 def bare_engine() -> SessionPipeline:
     """An engine for a session with the shelf script's frame size and pair gap."""
-    session = SessionTrace(
-        instruction="demo",
-        width=120,
-        height=96,
-        pair_gap=0.1,
-        frames=[],
-        imu=[],
-        segments=[StepSegment(0.0, 1.0, "A", IP)],
-        proactive_intervals=[],
-    )
+    session = Session(instruction="demo", width=120, height=96, pair_gap=0.1,
+                      segments=[StepSegment(0.0, 1.0, "A", IP)])
     return SessionPipeline(fixture_config(), session)
 
 
@@ -552,9 +546,9 @@ def test_held_records_are_bounded_by_the_config_not_the_session_length():
     # moment (at most normal_interval on) resolves once a pair completes
     # past it + tolerance, at most one frame slot and one pair gap later
     tol = script.pair_gap / 2
-    reach = cfg.sampler.normal_interval + tol + script.frame_grid + script.pair_gap
+    reach = cfg.sampler.normal_interval + tol + FRAME_GRID + script.pair_gap
     imu_bound = (cfg.sampler.smoothing_window + reach) / script.imu_period + 2
-    pair_bound = (tol + reach) / script.frame_grid + 1
+    pair_bound = (tol + reach) / FRAME_GRID + 1
 
     def held_sizes(repeats):
         held = {"imu": 0, "pairs": 0}
@@ -842,17 +836,9 @@ def test_report_round_trip(tmp_path, shelf_trace):
 
 
 def test_report_writes_undefined_for_missing_denominators(tmp_path):
-    trace = SessionTrace(
-        instruction="demo",
-        width=8,
-        height=8,
-        pair_gap=0.1,
-        frames=[],
-        imu=[],
-        segments=[StepSegment(0.0, 1.0, "A", IP)],
-        proactive_intervals=[],
-    )
-    metrics = compute_metrics(EventLog(), trace)
+    session = Session(instruction="demo", width=8, height=8, pair_gap=0.1,
+                      segments=[StepSegment(0.0, 1.0, "A", IP)])
+    metrics = compute_metrics(EventLog(), session)
     write_report(EventLog(), metrics, tmp_path)
     rows = (tmp_path / METRICS_FILE).read_text(encoding="utf-8").splitlines()
     assert rows[0] == "metric,value"

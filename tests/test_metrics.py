@@ -16,7 +16,7 @@ from stepassist.metrics import (
 from stepassist.trace.types import (
     ExecutionStatus,
     ProactiveInterval,
-    SessionTrace,
+    Session,
     StepSegment,
 )
 
@@ -26,16 +26,8 @@ ATF = ExecutionStatus.ABOUT_TO_FINISH
 
 
 def minimal_trace(segments, intervals):
-    return SessionTrace(
-        instruction="demo",
-        width=8,
-        height=8,
-        pair_gap=0.1,
-        frames=[],
-        imu=[],
-        segments=list(segments),
-        proactive_intervals=list(intervals),
-    )
+    return Session(instruction="demo", width=8, height=8, pair_gap=0.1,
+                   segments=list(segments), proactive_intervals=list(intervals))
 
 
 def build_log(moments, extra_sampled=()):

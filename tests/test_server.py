@@ -348,6 +348,35 @@ def test_a_reply_that_is_not_a_json_object_ends_the_client_stream_at_once(monkey
     assert thread_faults == []
 
 
+def test_a_server_that_stops_reading_names_the_stalled_session(standard_trace):
+    # a peer with a small receive buffer that acks session_start and then reads nothing
+    release = threading.Event()
+    with socket.socket() as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # the accepted socket's too
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def ack_then_stall():
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()
+                conn.sendall(b'{"type": "ack", "of": "session_start", "session_id": "stalled"}\n')
+                release.wait(10)
+
+        peer = threading.Thread(target=ack_then_stall, daemon=True)
+        peer.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match=r"^session 'stalled' timed out after 0\.5s "
+                               "sending to the server$"):
+                stream_session(standard_trace, *listener.getsockname(), session_id="stalled",
+                               timeout=0.5)
+            assert time.monotonic() - started < 5
+        finally:
+            release.set()
+            peer.join(timeout=5)
+
+
 def test_interleaved_pairs_are_a_stream_fault(server):
     with pytest.raises(RuntimeError, match="bad_stream: .*pair 0 has no slot b"):
         stream_session(interleaved_trace(), *server.address, timeout=10)
@@ -372,10 +401,6 @@ def break_rule(trace, case):
     elif case == "interval_coverage":
         # names a real step but lies over the other step's span
         trace.proactive_intervals.append(ProactiveInterval(5.0, 6.0, segments[0].step))
-    elif case == "hand_box_keys":
-        del boxes[0]["h"]
-    elif case == "hand_box_side":
-        boxes[0]["side"] = "up"
     else:
         boxes[0]["x"] = trace.width - 1
     return case.split("-")[0]
@@ -384,8 +409,7 @@ def break_rule(trace, case):
 @pytest.mark.parametrize(
     "case",
     ["empty_instruction", "bad_geometry", "bad_pair_gap", "bad_pair_gap-nan", "bad_pair_gap-inf",
-     "segment_order", "segment_overlap", "interval_step", "interval_coverage", "hand_box_keys",
-     "hand_box_side", "hand_box_bounds"],
+     "segment_order", "segment_overlap", "interval_step", "interval_coverage", "hand_box_bounds"],
 )
 def test_validation_replay_and_serve_refuse_the_same_header(server, case):
     trace = generate_synthetic(shelf_script())
@@ -551,6 +575,11 @@ def test_malformed_annotation_segment_is_a_stream_fault(server):
         ({"pair_gap": "0.1"}, "pair_gap must be a number, got '0.1'"),
         ({"annotations": dict(SEGMENT_ANN, hand_boxes={"0": [
             {"side": "left", "x": "abc", "y": 0, "w": 4, "h": 4}]})}, "hand_boxes['0']:"),
+        ({"annotations": dict(SEGMENT_ANN, hand_boxes={"0": [
+            {"side": "left", "x": 0, "y": 0, "w": 4}]})}, "hand_boxes['0'] missing key 'h'"),
+        ({"annotations": dict(SEGMENT_ANN, hand_boxes={"0": [
+            {"side": "up", "x": 0, "y": 0, "w": 4, "h": 4}]})},
+         "hand_boxes['0']: side must be left/right/unknown, got 'up'"),
         ({"annotations": dict(SEGMENT_ANN, segments=5)}, "segments must be a JSON array"),
         ({"annotations": dict(SEGMENT_ANN, proactive_intervals=5)},
          "proactive_intervals must be a JSON array"),
@@ -558,7 +587,7 @@ def test_malformed_annotation_segment_is_a_stream_fault(server):
         ({"annotations": dict(SEGMENT_ANN, hand_boxes=[1])}, "hand_boxes must be a JSON object"),
     ],
     ids=["instruction-null", "width-text", "width-fraction", "height-bool", "pair-gap-text",
-         "hand-box-x-text", "segments-number",
+         "hand-box-x-text", "hand-box-no-h", "hand-box-side-up", "segments-number",
          "intervals-number", "hand-boxes-number", "hand-boxes-array"],
 )
 def test_a_header_field_that_does_not_convert_is_a_stream_fault(server, overrides, detail):
@@ -767,6 +796,15 @@ def test_cli_input_faults_exit_2_with_one_line(tmp_path, capsys, session_dir):
         argv = ["replay", "--session", str(session_dir), "--config", str(config), "--tau-s", "1"]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"stepassist: error: {message}\n"
+
+    # a range check and the corpus look-up show a huge value cut
+    for obj, message in [({"checker": {"window": -(10**3999)}}, "window must be at least 1"),
+                         ({"corpus_dir": "c" * 100000}, "corpus directory 'ccc")]:
+        config.write_text(json.dumps(obj))
+        assert main(["replay", "--session", str(session_dir), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"stepassist: error: {message}") and len(err) < 1000
+        assert len(err.splitlines()) == 1
 
     broken = write_session(load_session(session_dir), tmp_path / "broken")
     manifest = json.loads((broken / "manifest.json").read_text())

@@ -21,6 +21,8 @@ from stepassist.trace.io import (
 )
 from stepassist.trace.pgm import read_pgm, write_pgm
 from stepassist.trace.synthetic import (
+    BASE_MOTION,
+    BURST_MOTION,
     HandMove,
     HandTrack,
     PhaseSpec,
@@ -211,7 +213,11 @@ def damage(root, case):
         manifest[key] = value
     elif case in HAND_BOX_DAMAGE:
         ann = json.loads((root / "annotations.json").read_text())
-        ann["hand_boxes"]["0"][0]["x"] = HAND_BOX_DAMAGE[case]
+        key, value = HAND_BOX_DAMAGE[case]
+        box = ann["hand_boxes"]["0"][0]
+        del box[key]
+        if value != "<missing>":
+            box[key] = value
         (root / "annotations.json").write_text(json.dumps(ann))
     elif case in HAND_BOX_KEY_DAMAGE:
         ann = json.loads((root / "annotations.json").read_text())
@@ -256,6 +262,10 @@ LOAD_REFUSALS = {
     "hand-box-x-null": "annotations.json: hand_boxes['0']: x must be an integer, got None",
     "hand-box-x-text": "annotations.json: hand_boxes['0']: x must be an integer, got 'abc'",
     "hand-box-x-fraction": "annotations.json: hand_boxes['0']: x must be an integer, got 1.9",
+    # a hand box is read whole: every key, and a side of HAND_SIDES
+    "hand-box-no-h": "annotations.json: hand_boxes['0'] missing key 'h'",
+    "hand-box-side-up": "annotations.json: hand_boxes['0']: side must be left/right/unknown, "
+                        "got 'up'",
     "hand-box-key-space": "annotations.json: hand_boxes[' 0']: the key is not a pair id",
     # more digits than int() reads; the key is cut as jsontext.field cuts a value
     "hand-box-key-digits": f"annotations.json: hand_boxes['{'1' * 39}]: the key is not a pair id",
@@ -277,7 +287,13 @@ HEADER_DAMAGE = {
     "pair-gap-number-text": ("pair_gap", "0.1"),
     "pair-gap-nan": ("pair_gap", math.nan),
 }
-HAND_BOX_DAMAGE = {"hand-box-x-null": None, "hand-box-x-text": "abc", "hand-box-x-fraction": 1.9}
+HAND_BOX_DAMAGE = {
+    "hand-box-x-null": ("x", None),
+    "hand-box-x-text": ("x", "abc"),
+    "hand-box-x-fraction": ("x", 1.9),
+    "hand-box-no-h": ("h", "<missing>"),
+    "hand-box-side-up": ("side", "up"),
+}
 HAND_BOX_KEY_DAMAGE = {"hand-box-key-space": " 0", "hand-box-key-digits": "1" * 5000}
 ANNOTATION_DAMAGE = {
     "segments-number": ("segments", 5),
@@ -545,20 +561,13 @@ def test_interval_outside_step_segments_flagged():
 
 
 def test_hand_box_problems_flagged():
+    # a missing key and an unknown side are the codec's (LOAD_REFUSALS)
     tr = valid_trace()
     tr.hand_boxes[9999] = [{"side": "left", "x": 0, "y": 0, "w": 4, "h": 4}]
     assert "hand_box_pair" in kinds(tr)
 
     tr = valid_trace()
     pid = next(iter(tr.hand_boxes))
-    tr.hand_boxes[pid] = [{"side": "left", "x": 0, "y": 0}]
-    assert "hand_box_keys" in kinds(tr)
-
-    tr = valid_trace()
-    tr.hand_boxes[pid] = [{"side": "up", "x": 0, "y": 0, "w": 4, "h": 4}]
-    assert "hand_box_side" in kinds(tr)
-
-    tr = valid_trace()
     tr.hand_boxes[pid] = [{"side": "left", "x": -2, "y": 0, "w": 4, "h": 4}]
     assert "hand_box_bounds" in kinds(tr)
 
@@ -599,7 +608,7 @@ def test_imu_magnitude_tracks_burst_windows(standard_trace):
     script = standard_script(seed=0)
     for s in standard_trace.imu:
         inside = any(w0 <= s.timestamp < w1 for w0, w1 in script.burst_windows)
-        expected = script.burst_motion if inside else script.base_motion
+        expected = BURST_MOTION if inside else BASE_MOTION
         assert s.magnitude() == pytest.approx(expected)
 
 
