@@ -61,13 +61,15 @@ def stream_session(
     Sends session_start, all sensor records in timestamp order, then
     session_end, while a reader thread drains acks, assists, and errors.
     Returns once the session_end ack arrives. Raises RuntimeError, naming the
-    server's error code, if the server drops the session, closes or goes
-    silent first, or naming the session and the seconds waited if the server
-    stops reading; a reply that is not a JSON object, too deep to decode
-    included, reads as a close. Sending stops as soon as the session is dropped.
+    server's error code, if the server drops the session or closes first, or
+    naming the session and the seconds waited if the server stops reading or
+    sends nothing for ``timeout`` seconds; a reply that is not a JSON object,
+    too deep to decode included, reads as a close. Sending stops as soon as
+    the session is dropped.
     """
     result = StreamResult(session_id=session_id)
     done = threading.Event()
+    silent = threading.Event()  # the reader waited ``timeout`` for a reply
     stalled = f"session {shown(session_id)} timed out after {timeout}s"
 
     sock = socket.create_connection((host, port), timeout=timeout)
@@ -93,6 +95,8 @@ def stream_session(
                     elif kind == "ack" and msg.get("of") == "session_end":
                         result.end_counts = msg.get("counts")
                         break
+            except TimeoutError:
+                silent.set()
             except (OSError, ValueError):
                 pass  # connection torn down; fall through to EOF handling
             done.set()
@@ -127,6 +131,8 @@ def stream_session(
 
         if not done.wait(timeout):
             raise RuntimeError(f"{stalled} waiting for the session_end ack")
+        if silent.is_set():
+            raise RuntimeError(f"{stalled} waiting for a reply")
         reader.join(timeout=5.0)
     finally:
         sock.close()

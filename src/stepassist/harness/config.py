@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..checker import CheckerConfig
+from ..httpchat import parse_endpoint
 from ..jsontext import fits, shown
 from ..motion import FlowConfig
 from ..perception import KeyMomentConfig, SamplerConfig
@@ -36,6 +37,8 @@ class ReasonerSpec:
             raise ValueError(f"reasoner kind must be one of {REASONER_KINDS}")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote reasoner requires an endpoint")
+        if self.endpoint:
+            parse_endpoint(self.endpoint)
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,10 @@ class StructurerSpec:
     endpoint: str | None = None
     model: str | None = None
     timeout: float = 60.0
+
+    def __post_init__(self) -> None:
+        if self.endpoint:
+            parse_endpoint(self.endpoint)
 
 
 @dataclass(frozen=True)

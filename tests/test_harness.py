@@ -1004,7 +1004,7 @@ CLI_IMPORT = """
 import os, sys
 import stepassist.harness.cli
 print(os.environ["OPENBLAS_NUM_THREADS"])
-print(" ".join(sorted(n for n in sys.modules if n.startswith("stepassist."))))
+print(" ".join(sorted(sys.modules)))
 """
 
 
@@ -1016,6 +1016,7 @@ def test_the_cli_import_keeps_a_users_blas_threads_and_defers_per_command_module
     assert run.returncode == 0, run.stderr
     threads, loaded = run.stdout.splitlines()
     assert threads == "3"
+    # the chat client frames its one POST itself and loads ssl only for https://
     deferred = {"stepassist.trace.synthetic", "stepassist.harness.client",
-                "stepassist.harness.report"}
+                "stepassist.harness.report", "ssl", "http.client", "urllib.request", "email"}
     assert not deferred & set(loaded.split())

@@ -377,6 +377,30 @@ def test_a_server_that_stops_reading_names_the_stalled_session(standard_trace):
             peer.join(timeout=5)
 
 
+def test_a_server_that_never_answers_names_the_silent_session(standard_trace):
+    # a peer that drains its input and sends nothing; the paced send outlasts the timeout
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def drain():
+            conn, _ = listener.accept()
+            with conn:
+                while conn.recv(1 << 16):
+                    pass
+
+        peer = threading.Thread(target=drain, daemon=True)
+        peer.start()
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"^session 'silent' timed out after 0\.5s "
+                           "waiting for a reply$"):
+            stream_session(standard_trace, *listener.getsockname(), session_id="silent",
+                           timeout=0.5, pace=True)
+        assert time.monotonic() - started < 5
+        peer.join(timeout=5)
+        assert not peer.is_alive()
+
+
 def test_interleaved_pairs_are_a_stream_fault(server):
     with pytest.raises(RuntimeError, match="bad_stream: .*pair 0 has no slot b"):
         stream_session(interleaved_trace(), *server.address, timeout=10)
@@ -805,6 +829,14 @@ def test_cli_input_faults_exit_2_with_one_line(tmp_path, capsys, session_dir):
         err = capsys.readouterr().err
         assert err.startswith(f"stepassist: error: {message}") and len(err) < 1000
         assert len(err.splitlines()) == 1
+
+    # an endpoint that is no http:// or https:// URL with a host and a numeric port is
+    # refused before any session, by replay and serve alike
+    for endpoint in ["localhost:9", "http://", "http://127.0.0.1:notaport/", "ftp://127.0.0.1:9/"]:
+        for command in [["replay", "--session", str(session_dir)], ["serve", "--port", "0"]]:
+            assert main(command + ["--reasoner", "remote", "--endpoint", endpoint]) == 2
+            assert capsys.readouterr().err == f"stepassist: error: endpoint {endpoint!r} is not " \
+                "an http:// or https:// URL with a host and a numeric port\n"
 
     broken = write_session(load_session(session_dir), tmp_path / "broken")
     manifest = json.loads((broken / "manifest.json").read_text())
