@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 # Before numpy loads: the engine's arrays are small and its concurrency is one
@@ -105,6 +107,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # a background job of a shell starts with SIGINT ignored, and Python keeps that; only
+    # the main thread may set a handler
+    if (signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+            and threading.current_thread() is threading.main_thread()):
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     cfg = _build_config(args)
     server = PipelineServer(cfg, host=args.host, port=args.port)
     host, port = server.address
@@ -146,11 +153,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     log = load_report(args.report)
     trace = load_session(args.session)
-    try:
-        metrics = compute_metrics(log, trace)
-    except ValueError as exc:  # a fault in a scored field, named like load_report's
-        raise ValueError(f"{args.report}: {exc}") from None
-    print(format_metrics(metrics))
+    print(format_metrics(compute_metrics(log, trace)))
     return 0
 
 

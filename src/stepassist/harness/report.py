@@ -7,7 +7,9 @@ from pathlib import Path
 
 from ..jsontext import fields, loads
 from ..metrics import METRIC_NAMES, MetricsReport
-from .events import EventLog
+from ..reasoner import VERDICT_FIELDS
+from ..trace.types import ExecutionStatus
+from .events import DELIVERY, REASONED, EventLog
 
 REPORT_FILE = "report.json"
 EVENTS_FILE = "events.csv"
@@ -15,6 +17,10 @@ METRICS_FILE = "metrics.csv"
 
 # metrics.csv value for a metric whose denominator was empty
 UNDEFINED = "undefined"
+
+# the data fields compute_metrics reads, by event kind (a reasoned status by
+# ExecutionStatus.parse too), so it trusts a saved log as it trusts the engine's
+_SCORED_FIELDS = {REASONED: VERDICT_FIELDS, DELIVERY: {"deliver": bool}}
 
 
 def write_report(log: EventLog, metrics: MetricsReport, out_dir: str | Path) -> Path:
@@ -45,8 +51,8 @@ def write_report(log: EventLog, metrics: MetricsReport, out_dir: str | Path) -> 
 
 
 def load_report(path: str | Path) -> EventLog:
-    """The event log of a report.json (or its directory), each event read by
-    ``jsontext.field``; ``eval`` recomputes the metrics, so they are not read."""
+    """The event log of a report.json (or its directory), each event and the fields the
+    scorer reads checked here; ``eval`` recomputes the metrics, so they are not read."""
     p = Path(path)
     if p.is_dir():
         p = p / REPORT_FILE
@@ -57,6 +63,10 @@ def load_report(path: str | Path) -> EventLog:
             where = f"event {i}"
             kind, t, data = fields(entry, {"kind": str, "t": float, "data": dict}, where)
             try:
+                if kind in _SCORED_FIELDS:
+                    fields(data, _SCORED_FIELDS[kind], "data")
+                    if kind == REASONED:
+                        ExecutionStatus.parse(data["status"])
                 log.append(kind, t, **data)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None

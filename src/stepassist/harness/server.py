@@ -183,24 +183,11 @@ class _ThreadingServer(socketserver.ThreadingTCPServer):
 
 
 class PipelineServer:
-    """TCP front end; one pipeline per connection, sessions run in parallel.
+    """TCP front end; one pipeline per connection, sessions run in parallel."""
 
-    With ``keep_logs`` the full event log of every finished session stays
-    addressable by session id (tests compare them against batch replays).
-    """
-
-    def __init__(
-        self,
-        cfg: PipelineConfig = PipelineConfig(),
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        keep_logs: bool = False,
-    ):
+    def __init__(self, cfg: PipelineConfig = PipelineConfig(), host: str = "127.0.0.1",
+                 port: int = 0):
         self.cfg = cfg
-        self.keep_logs = keep_logs
-        self.finished_logs: dict[str, EventLog] = {}
-        self._lock = threading.Lock()
         self._tcp = _ThreadingServer((host, port), _Handler)
         self._tcp.owner = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
@@ -210,10 +197,9 @@ class PipelineServer:
         host, port = self._tcp.server_address[:2]
         return str(host), int(port)
 
-    def store_log(self, session_id: str | None, log: EventLog) -> None:
-        if self.keep_logs:
-            with self._lock:
-                self.finished_logs[session_id or ""] = log
+    def store_log(self, session_id: str, log: EventLog) -> None:
+        """Called on a connection's thread with the log of each session it finished; the
+        server keeps no log, so this does nothing. A subclass may record them."""
 
     def start(self) -> tuple[str, int]:
         """Serve on a background thread; returns the bound (host, port)."""

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Sequence
 
 from .harness.events import DELIVERY, REASONED, SAMPLED_PAIR, EventLog
-from .jsontext import fields
-from .reasoner import VERDICT_FIELDS
 from .trace.types import ExecutionStatus, ProactiveInterval, Session
 
 
@@ -37,20 +35,12 @@ class MomentRecord:
 
 
 def align(log: EventLog, session: Session) -> list[MomentRecord]:
-    """Join reasoned events (read by ``jsontext.field``) with segments, intervals, outcomes."""
-    delivered_at = {
-        ev.t for ev in log.of_kind(DELIVERY)
-        if fields(ev.data, {"deliver": bool}, f"delivery event at t={ev.t}")[0]
-    }
+    """Join reasoned events with segments, intervals and outcomes. The log is the
+    engine's or one ``harness.report.load_report`` read, whose scored fields it checked."""
+    delivered_at = {ev.t for ev in log.of_kind(DELIVERY) if ev.data["deliver"]}
     records: list[MomentRecord] = []
     for ev in log.of_kind(REASONED):
         t = ev.t
-        where = f"reasoned event at t={t}"
-        step, status, proactive = fields(ev.data, VERDICT_FIELDS, where)
-        try:
-            pred_status = ExecutionStatus.parse(status)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
         seg = session.segment_at(t)
         need = session.need_at(t)
         # equal intervals contain the same t, so index() finds the first container
@@ -58,9 +48,9 @@ def align(log: EventLog, session: Session) -> list[MomentRecord]:
         records.append(
             MomentRecord(
                 timestamp=t,
-                pred_step=step,
-                pred_status=pred_status,
-                pred_proactive=proactive,
+                pred_step=ev.data["step"],
+                pred_status=ExecutionStatus(ev.data["status"]),
+                pred_proactive=ev.data["proactive"],
                 delivered=t in delivered_at,
                 gt_step=seg.step if seg else None,
                 gt_status=seg.status if seg else None,

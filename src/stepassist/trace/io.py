@@ -75,6 +75,9 @@ class StreamCheck:
         add = self.report.add
         if not session.instruction.strip():
             add("empty_instruction", "session instruction is empty")
+        for i, seg in enumerate(session.segments):
+            if not seg.step.strip():
+                add("empty_step", f"segment {i} names an empty step")
         if session.width <= 0 or session.height <= 0:
             add("bad_geometry", f"frame geometry {shown(session.width)}x{shown(session.height)} "
                 "is not positive")

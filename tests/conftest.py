@@ -4,6 +4,7 @@ import socket
 import pytest
 
 from stepassist.harness.config import PipelineConfig
+from stepassist.harness.server import PipelineServer
 from stepassist.motion import FlowConfig
 from stepassist.perception import SamplerConfig
 from stepassist.trace.synthetic import generate_synthetic, standard_script
@@ -24,6 +25,17 @@ def fixture_config(**overrides) -> PipelineConfig:
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+class KeepingServer(PipelineServer):
+    """A PipelineServer that keeps the log of every finished session, by session id."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.finished_logs = {}
+
+    def store_log(self, session_id, log):
+        self.finished_logs[session_id] = log
 
 
 def dead_endpoint() -> str:

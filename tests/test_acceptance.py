@@ -22,7 +22,6 @@ from stepassist.context import GuidelineCorpus, ProgressRecord, retrieve_guideli
 from stepassist.harness.config import ReasonerSpec
 from stepassist.harness.events import DELIVERY, ERROR, REASONED
 from stepassist.harness.pipeline import replay
-from stepassist.harness.server import PipelineServer
 from stepassist.harness.client import stream_session
 from stepassist.metrics import MomentRecord, compute_metrics, sts
 from stepassist.motion import FlowConfig, estimate_flow
@@ -38,7 +37,7 @@ from stepassist.trace.synthetic import (
 )
 from stepassist.trace.types import ProactiveInterval, StepSegment
 
-from conftest import CORPUS_DOCS, fixture_config
+from conftest import CORPUS_DOCS, KeepingServer, fixture_config
 from oracles import inferred_step_sequence, run_sampler, steady_script
 from test_context import INSTRUCTIONS
 from test_harness import shelf_script
@@ -446,7 +445,7 @@ def test_criterion_09_replay_serve_equivalence(verdict):
         )
     )
     mismatches = []
-    with PipelineServer(fixture_config(), keep_logs=True) as server:
+    with KeepingServer(fixture_config()) as server:
         host, port = server.address
         for name, trace in (("shelf", shelf), ("paint", paint)):
             result = stream_session(trace, host, port, session_id=name)

@@ -86,6 +86,7 @@ ANNOTATION_DAMAGE = [
     "status", "reversed", "segment_end", "segment_start", "segment_order", "segment_overlap",
     "interval_step", "interval_end", "box_pair", "box_side", "box_bounds", "box_keys",
     "box_key_text", "box_key_digits", "box_x_text", "segments_number", "not_an_object",
+    "empty_step",
 ]
 MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), STREAMS, INDEX),
@@ -152,6 +153,10 @@ def damage_annotations(ann, name: str):
             boxes["0"][0]["x"] = "abc"
         elif name == "segments_number":
             ann["segments"] = 5
+        elif name == "empty_step":  # a step no interval names, so only its label is at fault
+            for seg in segments:
+                if seg["step"] == "Heat kettle":
+                    seg["step"] = "  "
         else:
             return []
     except (KeyError, IndexError, TypeError):
@@ -297,6 +302,8 @@ def check_entry_points_agree(mutations) -> None:
 # worded a refusal of annotations that are not an object unlike the wire
 @example(mutations=[("header", "width", 0), ("annotations", "status")])
 @example(mutations=[("annotations", "not_an_object")])
+# a blank step label once passed the disk and broke the engine's guideline
+@example(mutations=[("annotations", "empty_step")])
 def test_disk_engine_and_wire_refuse_the_same_sessions(mutations):
     check_entry_points_agree(mutations)
 

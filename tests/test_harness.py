@@ -982,21 +982,34 @@ needs_proc = pytest.mark.skipif(
 )
 
 
+# a shell's background job starts with SIGINT ignored, and exec keeps that; preexec_fn
+# is unsafe with threads, so a small launcher ignores it and execs the server
+IGNORING_SIGINT = ("import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                   "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+
+
 @needs_proc
-def test_a_spawned_server_holds_one_thread_at_listening_on():
+@pytest.mark.parametrize("sigint", ["default", "ignored"])
+def test_a_spawned_server_holds_one_thread_at_listening_on(sigint):
     # without the pin OpenBLAS starts a worker pool the engine never uses
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "stepassist.harness.cli", "serve", "--port", "0"],
+    serve = ["-m", "stepassist.harness.cli", "serve", "--port", "0"]
+    launcher = ["-c", IGNORING_SIGINT] if sigint == "ignored" else []
+    with subprocess.Popen(
+        [sys.executable, *launcher, *serve],
         env=fresh_env(), stdout=subprocess.PIPE, stdin=subprocess.DEVNULL, text=True,
-    )
-    try:
-        line = proc.stdout.readline()
-        assert line.startswith("listening on"), line
-        status = Path(f"/proc/{proc.pid}/status").read_text().splitlines()
-        assert "Threads:\t1" in status
-    finally:
-        proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=20)
+    ) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("listening on"), line
+            status = Path(f"/proc/{proc.pid}/status").read_text().splitlines()
+            assert "Threads:\t1" in status
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=20)
+            except subprocess.TimeoutExpired:
+                proc.kill()  # so no server outlives the test
+                raise
     assert proc.returncode == 0
 
 

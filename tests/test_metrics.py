@@ -1,11 +1,11 @@
 import json
 import math
 import random
-import re
 
 import pytest
 
 from stepassist.harness.events import DELIVERY, REASONED, SAMPLED_PAIR, EventLog
+from stepassist.harness.report import load_report, write_report
 from stepassist.metrics import (
     METRIC_NAMES,
     MomentRecord,
@@ -127,13 +127,18 @@ def twelve_fixture():
     ],
 )
 def test_a_reasoned_or_delivery_field_of_the_wrong_type_is_refused_not_scored(
-        kind, change, message):
-    # a log read back from a report.json is scored by the same fields the engine writes
+        kind, change, message, tmp_path):
+    # a saved log is read at the door by the fields the scorer reads, so the scorer trusts it
     trace, log = twelve_fixture()
-    victim = log.of_kind(kind)[3]
-    victim.data.update(change)
-    with pytest.raises(ValueError, match=re.escape(f"event at t={victim.t}: {message}")):
-        compute_metrics(log, trace)
+    path = write_report(log, compute_metrics(log, trace), tmp_path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    index = [i for i, ev in enumerate(payload["events"]) if ev["kind"] == kind][3]
+    payload["events"][index]["data"].update(change)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError) as refused:
+        load_report(path)
+    assert str(refused.value).startswith(f"{path}: event {index}: ")
+    assert str(refused.value).endswith(message)
 
 
 def test_twelve_moment_fixture_hand_counts():

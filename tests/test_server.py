@@ -39,7 +39,7 @@ from stepassist.trace.synthetic import (
 )
 from stepassist.trace.types import ExecutionStatus, ProactiveInterval
 
-from conftest import dead_endpoint, fixture_config, hanging_endpoint
+from conftest import KeepingServer, dead_endpoint, fixture_config, hanging_endpoint
 from oracles import trace_pairs
 from test_harness import interleaved_trace, shelf_script
 
@@ -78,7 +78,7 @@ def start_message(**overrides):
 
 @pytest.fixture
 def server():
-    with PipelineServer(fixture_config(), keep_logs=True) as srv:
+    with KeepingServer(fixture_config()) as srv:
         yield srv
 
 

@@ -223,6 +223,10 @@ def damage(root, case):
         ann = json.loads((root / "annotations.json").read_text())
         ann["hand_boxes"][HAND_BOX_KEY_DAMAGE[case]] = ann["hand_boxes"].pop("0")
         (root / "annotations.json").write_text(json.dumps(ann))
+    elif case == "empty-step":
+        ann = json.loads((root / "annotations.json").read_text())
+        ann["segments"][4]["step"] = "  "
+        (root / "annotations.json").write_text(json.dumps(ann))
     elif case in ANNOTATION_DAMAGE:
         ann = json.loads((root / "annotations.json").read_text())
         key, value = ANNOTATION_DAMAGE[case]
@@ -276,6 +280,7 @@ LOAD_REFUSALS = {
     "intervals-number": "annotations.json: proactive_intervals must be a JSON array",
     "hand-boxes-number": "annotations.json: hand_boxes must be a JSON object",
     "hand-boxes-array": "annotations.json: hand_boxes must be a JSON object",
+    "empty-step": "[empty_step] segment 4 names an empty step",
 }
 HEADER_DAMAGE = {
     "instruction-null": ("instruction", None),
