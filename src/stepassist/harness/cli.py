@@ -3,8 +3,8 @@
 The ``stepassist`` command starts OpenBLAS with one thread unless
 ``OPENBLAS_NUM_THREADS`` is already set, and each subcommand imports only the
 modules it runs, so a process starts at about the cost of numpy. ``--pace``
-on ``replay`` and ``send`` holds each record until its recorded time since
-the first.
+on ``send`` holds each record until its recorded time since the first;
+``replay`` feeds the trace as recorded.
 """
 from __future__ import annotations
 
@@ -97,7 +97,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     cfg = _build_config(args)
     trace = load_session(args.session)
-    log, metrics = replay(trace, cfg, pace=args.pace)
+    log, metrics = replay(trace, cfg)
     print(format_metrics(metrics))
     print(f"{'deliveries':>16}  {run_counts(log)['deliveries']}")
     if args.out:
@@ -182,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     r = sub.add_parser("replay", help="Run the pipeline over a recorded session")
     r.add_argument("--session", required=True, help="Session directory")
     r.add_argument("--out", default=None, help="Write report.json/events.csv/metrics.csv here")
-    r.add_argument("--pace", action="store_true", help="Replay in real time")
     _add_config_args(r)
     r.set_defaults(func=_cmd_replay)
 

@@ -5,14 +5,14 @@ import base64
 import json
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from ..jsontext import loads, shown
 from ..trace.io import annotations_to_obj, header_to_obj
 from ..trace.pgm import write_pgm
 from ..trace.types import FrameRecord, ImuSample, SessionTrace
-from .pipeline import sensor_records
 from .server import BAD_STREAM, INTERNAL, PROTOCOL_VERSION
 
 
@@ -46,6 +46,19 @@ def record_message(record: ImuSample | FrameRecord) -> dict[str, Any]:
     }
 
 
+def paced(records: Iterable[ImuSample | FrameRecord]) -> Iterator[ImuSample | FrameRecord]:
+    """The records, each held back until its recorded time since the first record
+    has passed in wall-clock time since the first was yielded, so the overshoot of
+    one sleep is made up by the next and never adds up."""
+    origin: tuple[float, float] | None = None  # (wall clock, timestamp) of the first
+    for record in records:
+        if origin is None:
+            origin = (time.perf_counter(), record.timestamp)
+        elif (wait := record.timestamp - origin[1] - (time.perf_counter() - origin[0])) > 0:
+            time.sleep(wait)
+        yield record
+
+
 def stream_session(
     trace: SessionTrace,
     host: str,
@@ -58,14 +71,14 @@ def stream_session(
 ) -> StreamResult:
     """Stream one session over TCP and collect every reply.
 
-    Sends session_start, all sensor records in timestamp order, then
-    session_end, while a reader thread drains acks, assists, and errors.
-    Returns once the session_end ack arrives. Raises RuntimeError, naming the
-    server's error code, if the server drops the session or closes first, or
-    naming the session and the seconds waited if the server stops reading or
-    sends nothing for ``timeout`` seconds; a reply that is not a JSON object,
-    too deep to decode included, reads as a close. Sending stops as soon as
-    the session is dropped.
+    Sends session_start, all sensor records in timestamp order (``paced`` with
+    ``pace``), then session_end, while a reader thread drains acks, assists,
+    and errors. Returns once the session_end ack arrives. Raises RuntimeError,
+    naming the server's error code, if the server drops the session or closes
+    first, or naming the session and the seconds waited if the server stops
+    reading or sends nothing for ``timeout`` seconds; a reply that is not a
+    JSON object, too deep to decode included, reads as a close. Sending stops
+    as soon as the session is dropped.
     """
     result = StreamResult(session_id=session_id)
     done = threading.Event()
@@ -118,7 +131,8 @@ def stream_session(
 
         try:
             send(start_msg)
-            for record in sensor_records(trace, pace=pace):
+            records = trace.iter_sensor_records()
+            for record in paced(records) if pace else records:
                 if done.is_set():
                     break
                 send(record_message(record))
@@ -145,4 +159,4 @@ def stream_session(
     return result
 
 
-__all__ = ["StreamResult", "record_message", "stream_session"]
+__all__ = ["StreamResult", "paced", "record_message", "stream_session"]

@@ -8,12 +8,14 @@ built, so a run never trips over a bad config mid-session.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import typing
 from dataclasses import dataclass
 from typing import Any
 
 from ..checker import CheckerConfig
+from ..context import GuidelineCorpus
 from ..httpchat import parse_endpoint
 from ..jsontext import fits, shown
 from ..motion import FlowConfig
@@ -39,6 +41,8 @@ class ReasonerSpec:
             raise ValueError("remote reasoner requires an endpoint")
         if self.endpoint:
             parse_endpoint(self.endpoint)
+        if not self.timeout > 0:
+            raise ValueError(f"reasoner timeout must be positive, got {shown(self.timeout)}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,8 @@ class StructurerSpec:
     def __post_init__(self) -> None:
         if self.endpoint:
             parse_endpoint(self.endpoint)
+        if not self.timeout > 0:
+            raise ValueError(f"structurer timeout must be positive, got {shown(self.timeout)}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,8 @@ class PipelineConfig:
         # os.path.isdir, not Path.is_dir: a name too long to look up is absent, not an OSError
         if self.corpus_dir is not None and not os.path.isdir(self.corpus_dir):
             raise ValueError(f"corpus directory {shown(self.corpus_dir)} does not exist")
+        if self.corpus_dir is not None and not GuidelineCorpus.load(self.corpus_dir).documents:
+            raise ValueError(f"corpus directory {shown(self.corpus_dir)} holds no guideline")
 
 
 def _build(cls: type, obj: Any, path: str, over: dict[str, Any]) -> Any:
@@ -97,6 +105,8 @@ def _build(cls: type, obj: Any, path: str, over: dict[str, Any]) -> Any:
         elif not any(fits(value, t) for t in typing.get_args(tp) or (tp,)):  # X | None
             want = getattr(tp, "__name__", tp)
             raise ValueError(f"config key {name} must be {want}, got {shown(value)}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key {name} must be finite, got {shown(value)}")
         kwargs[key] = value
     return cls(**kwargs)
 

@@ -9,9 +9,8 @@ trace and the same trace streamed over TCP log identical events by construction.
 """
 from __future__ import annotations
 
-import time
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..checker import CheckerState, update
 from ..context import (
@@ -343,43 +342,20 @@ class SessionPipeline:
         self.log.append(DELIVERY, pair.t, **data)
 
 
-def sensor_records(
-    trace: SessionTrace, *, pace: bool = False
-) -> Iterator[ImuSample | FrameRecord]:
-    """The trace's sensor records in feed order.
-
-    With ``pace`` each record is held back until its recorded time since the
-    first record has passed in wall-clock time since the first was fed, so
-    the overshoot of one sleep is made up by the next and never adds up.
-    """
-    origin: tuple[float, float] | None = None  # (wall clock, timestamp) of the first
-    for record in trace.iter_sensor_records():
-        if pace:
-            if origin is None:
-                origin = (time.perf_counter(), record.timestamp)
-            else:
-                wait = record.timestamp - origin[1] - (time.perf_counter() - origin[0])
-                if wait > 0:
-                    time.sleep(wait)
-        yield record
-
-
 def replay(
     trace: SessionTrace,
     cfg: PipelineConfig = PipelineConfig(),
     *,
     reasoner: Reasoner | None = None,
-    pace: bool = False,
 ) -> tuple[EventLog, MetricsReport]:
     """Run the whole pipeline over a recorded session and score it.
 
     The simulated clock is the trace's own timeline: records are fed in
     timestamp order and each scheduled pair resolves as soon as its inputs
-    exist. With ``pace`` the feed additionally holds each record until its
-    recorded time since the first (demo mode; scoring is unaffected).
+    exist.
     """
     engine = SessionPipeline(cfg, trace, reasoner=reasoner)
-    for record in sensor_records(trace, pace=pace):
+    for record in trace.iter_sensor_records():
         if isinstance(record, ImuSample):
             engine.feed_imu(record)
         else:
@@ -393,6 +369,5 @@ __all__ = [
     "build_detector",
     "replay",
     "resolve_guideline",
-    "sensor_records",
     "synthesize_guideline",
 ]

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from stepassist.harness.client import record_message
 from stepassist.harness.events import DELIVERY, run_counts
-from stepassist.harness.pipeline import SessionPipeline, replay, sensor_records
+from stepassist.harness.pipeline import SessionPipeline, replay
 from stepassist.harness.server import BAD_STREAM, NO_SESSION, PROTOCOL_VERSION, WireSession
 from stepassist.trace.io import (
     HEADER_FIELDS,
@@ -240,7 +240,7 @@ def in_process(s: Damaged) -> tuple[SessionPipeline | None, str | None]:
         session = SessionTrace(**header_from_obj(s.header), **annotations_from_obj(s.annotations),
                                frames=[], imu=[])
         engine = SessionPipeline(CONFIG, session)
-        feed(engine, sensor_records(s.records()))  # and finish
+        feed(engine, s.records().iter_sensor_records())  # and finish
     except ValueError as exc:
         return None, str(exc)
     return engine, None
@@ -254,7 +254,7 @@ def over_the_wire(s: Damaged) -> tuple[list[dict], dict]:
     start = {"type": "session_start", "protocol": PROTOCOL_VERSION, "session_id": "damaged",
              **s.header, "annotations": s.annotations}
     replies = []
-    for msg in (start, *map(record_message, sensor_records(s.records())), END):
+    for msg in (start, *map(record_message, s.records().iter_sensor_records()), END):
         out, keep_open = wire.feed(json.dumps(msg).encode("utf-8"))
         assert keep_open
         replies += out

@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,12 +32,11 @@ from stepassist.harness.events import (
     EventLog,
 )
 from stepassist.harness import cli
-from stepassist.harness import pipeline as pipeline_module
+from stepassist.harness import client
 from stepassist.harness.pipeline import (
     SessionPipeline,
     replay,
     resolve_guideline,
-    sensor_records,
     synthesize_guideline,
 )
 from stepassist.harness.report import (
@@ -167,8 +165,8 @@ class FakeClock:
 
 def test_paced_records_sleep_out_the_recorded_gaps(shelf_trace, monkeypatch):
     clock = FakeClock()
-    monkeypatch.setattr(pipeline_module, "time", clock)
-    records = list(sensor_records(shelf_trace, pace=True))
+    monkeypatch.setattr(client, "time", clock)
+    records = list(client.paced(shelf_trace.iter_sensor_records()))
     assert records == list(shelf_trace.iter_sensor_records())
     assert all(gap > 0 for gap in clock.slept)
     assert sum(clock.slept) == pytest.approx(records[-1].timestamp - records[0].timestamp)
@@ -177,10 +175,9 @@ def test_paced_records_sleep_out_the_recorded_gaps(shelf_trace, monkeypatch):
 def test_paced_records_do_not_add_up_each_sleeps_overshoot(monkeypatch):
     # 1000 gyro records 5 ms apart, and a sleep that always wakes 1 ms late
     clock = FakeClock(overshoot=0.001)
-    monkeypatch.setattr(pipeline_module, "time", clock)
+    monkeypatch.setattr(client, "time", clock)
     samples = [ImuSample(k * 0.005, 0.0, 0.0, 0.0) for k in range(1000)]
-    trace = SimpleNamespace(iter_sensor_records=lambda: iter(samples))
-    fed_at = [clock.now for _ in sensor_records(trace, pace=True)]
+    fed_at = [clock.now for _ in client.paced(samples)]
     span = samples[-1].timestamp - samples[0].timestamp
     assert len(fed_at) == 1000
     # no record goes out early, and the last is late by one overshoot, not 999

@@ -142,6 +142,14 @@ def test_a_keep_alive_peer_answers_well_inside_the_timeout():
 OK = b"HTTP/1.1 200 OK\r\n"
 
 
+def test_a_transfer_coding_that_does_not_end_in_chunked_is_read_to_the_close():
+    body = envelope("to the close", nested=False)
+    # the last coding frames the body, and one that is not chunked has no length
+    writes = [OK + b"Transfer-Encoding: chunked, x-raw\r\n\r\n" + body[:5], body[5:]]
+    with Peer(writes) as peer:
+        assert chat_complete(peer.endpoint, MESSAGES, timeout=5.0) == "to the close"
+
+
 @pytest.mark.parametrize(
     "writes, keep_open, message",
     [

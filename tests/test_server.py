@@ -17,9 +17,10 @@ from stepassist.harness import pipeline as pipeline_module
 from stepassist.harness.config import DetectorSpec, PipelineConfig, ReasonerSpec
 from stepassist.harness.client import record_message, stream_session
 from stepassist.harness.events import DELIVERY, ERROR, KEY_MOMENT, REASONED, SAMPLED_PAIR
-from stepassist.harness.pipeline import SessionPipeline, replay, sensor_records
+from stepassist.harness.pipeline import SessionPipeline, replay
 from stepassist.harness.report import REPORT_FILE
 from stepassist.harness.server import INTERNAL, PROTOCOL_VERSION, PipelineServer
+from stepassist.jsontext import shown
 from stepassist.motion import HandDetectionError
 from stepassist.trace.io import (
     annotations_to_obj,
@@ -304,7 +305,7 @@ def test_a_pair_off_the_session_gap_fails_replay_and_serve(server):
         send(start_message(width=trace.width, height=trace.height, pair_gap=trace.pair_gap,
                            annotations=annotations_to_obj(trace)))
         assert recv()["of"] == "session_start"
-        for record in sensor_records(trace):
+        for record in trace.iter_sensor_records():
             send(record_message(record))
             if record is late_b:
                 break
@@ -465,7 +466,7 @@ def test_clients_that_reset_end_their_handlers_quietly(server, monkeypatch):
     monkeypatch.setattr(tcp, "shutdown_request", record_close)
     trace = generate_synthetic(shelf_script())
     start = start_message(**header_to_obj(trace), annotations=annotations_to_obj(trace))
-    lines = [start] + [record_message(r) for r in list(sensor_records(trace))[:60]]
+    lines = [start] + [record_message(r) for r in list(trace.iter_sensor_records())[:60]]
     payload = b"".join(json.dumps(m).encode("utf-8") + b"\n" for m in lines)
     for _ in range(5):
         sock = socket.create_connection(server.address, timeout=10)
@@ -837,6 +838,35 @@ def test_cli_input_faults_exit_2_with_one_line(tmp_path, capsys, session_dir):
             assert main(command + ["--reasoner", "remote", "--endpoint", endpoint]) == 2
             assert capsys.readouterr().err == f"stepassist: error: endpoint {endpoint!r} is not " \
                 "an http:// or https:// URL with a host and a numeric port\n"
+
+    # a number that is not finite, a timeout that is not positive and a corpus with no
+    # usable guideline are refused when the config is built, by replay and serve alike
+    (empty := tmp_path / "empty").mkdir()
+    (undecodable := tmp_path / "undecodable").mkdir()
+    (undecodable / "tea.txt").write_bytes(b"\xff")
+    remote = '"kind": "remote", "endpoint": "http://127.0.0.1:9/"'
+    for text, flags, message in [
+        ("{}", ["--tau-s", "nan"], "config key sampler.tau_s must be finite, got nan\n"),
+        ('{"key_moment": {"tau_f": -Infinity}}', [],
+         "config key key_moment.tau_f must be finite, got -inf\n"),
+        ('{"reasoner": {%s, "timeout": 1e999}}' % remote, [],
+         "config key reasoner.timeout must be finite, got inf\n"),
+        ('{"reasoner": {%s, "timeout": -1}}' % remote, [],
+         "reasoner timeout must be positive, got -1\n"),
+        ('{"reasoner": {%s, "timeout": 0}}' % remote, [],
+         "reasoner timeout must be positive, got 0\n"),
+        ('{"structurer": {"timeout": 0.0}}', [], "structurer timeout must be positive, got 0.0\n"),
+        ("{}", ["--corpus", str(empty)], f"corpus directory {shown(str(empty))} holds no "
+         "guideline\n"),
+        ("{}", ["--corpus", str(undecodable)],
+         f"{undecodable / 'tea.txt'}: 'utf-8' codec can't decode byte 0xff"),
+    ]:
+        config.write_text(text)
+        for command in [["replay", "--session", str(session_dir)], ["serve", "--port", "0"]]:
+            assert main(command + ["--config", str(config)] + flags) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"stepassist: error: {message}")
+            assert len(err.splitlines()) == 1
 
     broken = write_session(load_session(session_dir), tmp_path / "broken")
     manifest = json.loads((broken / "manifest.json").read_text())

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import types
 
 import numpy as np
@@ -188,6 +189,8 @@ def damage(root, case):
         return root / "absent"
     if case == "manifest-json":
         (root / "manifest.json").write_text('{\n  "instruction": ')
+    elif case == "manifest-array":
+        (root / "manifest.json").write_text("[]")
     elif case == "manifest-key":
         del manifest["pair_gap"]
     elif case == "frame-entry-key":
@@ -198,6 +201,8 @@ def damage(root, case):
         manifest["frames"][1] = 5
     elif case == "frame-file-number":
         manifest["frames"][1]["file"] = 5
+    elif case == "frame-slot-c":
+        manifest["frames"][0]["slot"] = "c"
     elif case == "frame-not-pgm":
         (root / "frames" / frame_file_name(0, "b")).write_bytes(b"GIF89a")
     elif case == "imu-header":
@@ -240,7 +245,8 @@ def damage(root, case):
 
 
 MANIFEST_DAMAGE = (
-    "manifest-key", "frame-entry-key", "frames-number", "frame-entry-number", "frame-file-number"
+    "manifest-key", "frame-entry-key", "frames-number", "frame-entry-number", "frame-file-number",
+    "frame-slot-c",
 )
 
 
@@ -248,8 +254,10 @@ MANIFEST_DAMAGE = (
 LOAD_REFUSALS = {
     "no-directory": "absent: missing session directory",
     "manifest-json": "manifest.json:2: invalid JSON",
+    "manifest-array": "manifest.json: header must be a JSON object",
     "manifest-key": "manifest.json: missing key 'pair_gap'",
     "frame-entry-key": "manifest.json: frame entry 1 missing key 'slot'",
+    "frame-slot-c": "manifest.json: frame entry 0: frame slot must be 'a' or 'b', got 'c'",
     "frame-not-pgm": "sess: frame file 'frames/000000_b.pgm': not a PGM image",
     "imu-header": "imu.csv:1: bad header",
     "imu-row-fields": "imu.csv:3: expected 4 fields, got 3",
@@ -345,6 +353,15 @@ def test_load_reads_the_guideline_doc_id_as_a_string(tmp_path):
     with pytest.raises(SessionFormatError, match="manifest.json: guideline_doc_id must be a "
                        "string, got 5"):
         load_session(root)
+
+
+def test_load_skips_blank_imu_rows(tmp_path, standard_trace):
+    root = write_session(standard_trace, tmp_path / "sess")
+    rows = (root / "imu.csv").read_text().splitlines()
+    (root / "imu.csv").write_text("\n\n".join(rows) + "\n\n")  # a blank row after each
+    loaded = load_session(root)
+    assert len(loaded.imu) == len(standard_trace.imu) == 290
+    assert loaded.imu == standard_trace.imu
 
 
 def test_load_rejects_missing_frame_file(tmp_path):
@@ -633,32 +650,51 @@ def test_segment_lookup_half_open(standard_trace):
     assert standard_trace.segment_at(72.05) is None
 
 
+JS = ExecutionStatus.JUST_START
+LEFT = HandTrack(side="left", x=20, y=20)
+# (dataclasses.replace arguments on small_script(), the refusal), one row per rule
+SCRIPT_REFUSALS = [
+    (dict(steps=()), "script declares no steps"),
+    (dict(steps=(StepPlan(" ", (PhaseSpec(JS, 1.0),)),)), "step label is empty"),
+    (dict(steps=(StepPlan("Fill kettle", ()),)), "step 'Fill kettle' has no phases"),
+    (dict(steps=(StepPlan("Fill kettle", (PhaseSpec(JS, 0.0),)),)),
+     "step 'Fill kettle' has a non-positive phase duration"),
+    (dict(steps=(StepPlan("Fill kettle", (PhaseSpec(JS, 4.0),), proactive=((3.0, 9.0),)),)),
+     "step 'Fill kettle' proactive window (3.0, 9.0) leaves the step [0, 4.0]"),
+    (dict(steps=(StepPlan("Fill kettle", (PhaseSpec(JS, 0.75),)),)),
+     "total duration 0.75 is not a multiple of frame grid 0.5"),
+    (dict(pair_gap=0.5), "frame grid must exceed the intra-pair gap"),
+    (dict(imu_period=0.0), "imu period must be positive"),
+    (dict(burst_windows=((7.0, 9.0),)), "burst window (7.0, 9.0) leaves [0, 8.0]"),
+    (dict(global_moves=(HandMove(0.0, 8.0, 2, 0),)),
+     "global camera moves and hand tracks are mutually exclusive"),
+    (dict(hands=(LEFT,) * 3), "at most two hand tracks"),
+    (dict(hands=(LEFT, LEFT)), "hand sides must be unique left/right, got ['left', 'left']"),
+    (dict(hands=(HandTrack("middle", 20, 20),)),
+     "hand sides must be unique left/right, got ['middle']"),
+    (dict(hands=(HandTrack("left", 20, 20, (HandMove(0.0, 8.0, 99, 0),)),)),
+     "left hand move (99, 0) exceeds flow search radius 15"),
+    (dict(hands=(HandTrack("left", 20, 60, (HandMove(0.0, 8.0, 0, 15),)),)),
+     "left hand patch leaves the frame at (20, 75)"),
+    (dict(hands=(HandTrack("left", 100, 20),)), "left hand patch leaves the frame at (100, 20)"),
+    (dict(hands=(), global_moves=(HandMove(0.0, 8.0, 16, 0),)),
+     "global move (16, 0) exceeds flow search radius 15"),
+    (dict(hands=(HandTrack("left", 20, 0, (HandMove(0.0, 8.0, 15, 0),)),
+                 HandTrack("right", 50, 0))),
+     "hand patches overlap in the second frame at t=0.0"),
+    # the moves keep the hands apart at every pair time, so only the first frames meet
+    (dict(steps=(StepPlan("Fill kettle", (PhaseSpec(JS, 1.0),)),),
+          hands=(HandTrack("left", 20, 0, (HandMove(0.0, 2.0, -15, 0),)),
+                 HandTrack("right", 30, 0))),
+     "hand patches overlap in the first frame"),
+]
+
+
 def test_script_validation_errors():
-    with pytest.raises(ScriptError):
-        generate_synthetic(small_script(steps=()))
     # the script checks itself when it is built, by replace() too
-    with pytest.raises(ScriptError, match="script declares no steps"):
-        small_script(steps=())
-    with pytest.raises(ScriptError, match="frame grid must exceed the intra-pair gap"):
-        dataclasses.replace(small_script(), pair_gap=0.5)
-    with pytest.raises(ScriptError):
-        # displacement beyond the search radius is unrenderable
-        generate_synthetic(
-            small_script(
-                hands=(HandTrack(side="left", x=20, y=20, moves=(HandMove(0.0, 8.0, 99, 0),)),)
-            )
-        )
-    with pytest.raises(ScriptError):
-        # hands and global motion are mutually exclusive
-        generate_synthetic(small_script(global_moves=(HandMove(0.0, 8.0, 2, 0),)))
-    with pytest.raises(ScriptError):
-        # proactive window outside its step
-        bad = StepPlan(
-            step="Fill kettle",
-            phases=(PhaseSpec(ExecutionStatus.JUST_START, 4.0),),
-            proactive=((3.0, 9.0),),
-        )
-        generate_synthetic(small_script(steps=(bad,)))
+    for changes, message in SCRIPT_REFUSALS:
+        with pytest.raises(ScriptError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(small_script(), **changes)
 
 
 def test_iter_sensor_records_orders_imu_before_frames(standard_trace):

@@ -20,7 +20,7 @@ from stepassist.harness import pipeline as pipeline_module
 from stepassist.harness import server as server_module
 from stepassist.harness.client import record_message
 from stepassist.harness.events import DELIVERY, ERROR, KEY_MOMENT, REASONED, SAMPLED_PAIR
-from stepassist.harness.pipeline import replay, sensor_records
+from stepassist.harness.pipeline import replay
 from stepassist.harness.server import (
     BAD_JSON,
     BAD_MESSAGE,
@@ -48,7 +48,7 @@ START = {
     **header_to_obj(TRACE),
     "annotations": annotations_to_obj(TRACE),
 }
-RECORDS = [record_message(r) for r in sensor_records(TRACE)]
+RECORDS = [record_message(r) for r in TRACE.iter_sensor_records()]
 FRAMES = [m for m in RECORDS if m["type"] == "frame"]
 END = {"type": "session_end"}
 SESSION = [START, *RECORDS, END]
