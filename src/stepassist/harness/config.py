@@ -26,6 +26,14 @@ REASONER_KINDS = ("oracle", "remote")
 DETECTOR_KINDS = ("annotation", "synthetic", "null")
 
 
+def _check_timeout(owner: str, timeout: float) -> None:
+    """A socket timeout is a positive, finite number of seconds."""
+    if not timeout > 0:
+        raise ValueError(f"{owner} timeout must be positive, got {shown(timeout)}")
+    if not math.isfinite(timeout):  # settimeout overflows on inf
+        raise ValueError(f"{owner} timeout must be finite, got {shown(timeout)}")
+
+
 @dataclass(frozen=True)
 class ReasonerSpec:
     kind: str = "oracle"
@@ -41,8 +49,7 @@ class ReasonerSpec:
             raise ValueError("remote reasoner requires an endpoint")
         if self.endpoint:
             parse_endpoint(self.endpoint)
-        if not self.timeout > 0:
-            raise ValueError(f"reasoner timeout must be positive, got {shown(self.timeout)}")
+        _check_timeout("reasoner", self.timeout)
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,7 @@ class StructurerSpec:
     def __post_init__(self) -> None:
         if self.endpoint:
             parse_endpoint(self.endpoint)
-        if not self.timeout > 0:
-            raise ValueError(f"structurer timeout must be positive, got {shown(self.timeout)}")
+        _check_timeout("structurer", self.timeout)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,15 @@ shares a plan. Each table is O(blocks + candidates), never one entry per
 (block, candidate) pair (4 800 x 961 of them for a VGA frame at radius 15),
 and the cache keeps at most 32 plans, so its memory stays bounded however
 many geometries a session shows.
+
+A hand box holds a few blocks, so a call's fixed costs weigh as much as its
+search. The constants are built once and kept read-only: the candidate
+tables, the vector of ones and the packed-row dtypes in small caches keyed
+by radius, block and row size, and the row numbers of a chunk's bound table
+as a module constant. A chunk whose blocks are all textured, as every chunk
+of a textured scene is, is used as it stands: its blocks, sums, origins and
+corners are not copied, and only a chunk with an untextured block gathers
+out its textured rows.
 """
 from __future__ import annotations
 
@@ -116,6 +125,9 @@ _SEEDS = 4
 # window sum given to a candidate outside the frame (int32's largest): its
 # bound exceeds any cost
 _OUTSIDE = 2**31 - 1
+# each block's row in a chunk's bound table
+_LINE = np.arange(_CHUNK_BLOCKS)
+_LINE.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)
@@ -132,6 +144,20 @@ def _candidates(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for table in (dx, dy, order):
         table.flags.writeable = False
     return dx, dy, order
+
+
+@functools.lru_cache(maxsize=8)
+def _ones(n: int) -> np.ndarray:
+    """``n`` float32 ones: a product with them sums a window's ``n`` differences."""
+    ones = np.ones(n, np.float32)
+    ones.flags.writeable = False
+    return ones
+
+
+@functools.lru_cache(maxsize=8)
+def _packed_row(nbytes: int) -> np.dtype:
+    """The raw-bytes dtype of one packed row of ``nbytes`` bytes."""
+    return np.dtype((np.void, nbytes))
 
 
 @dataclass(frozen=True)
@@ -181,13 +207,15 @@ def _run_sums(a: np.ndarray, length: int) -> np.ndarray:
 def _window_sums(area: np.ndarray, block: int, pad: int) -> np.ndarray:
     """Sums of every block-sized window of ``area``, padded with ``_OUTSIDE``."""
     h, w = area.shape
-    cells = np.zeros((h + 1, w), np.int32)  # a zero row keeps the last flat runs in bounds
-    cells[:h] = area
-    cols = _run_sums(cells, block)
-    # runs along the flat array; those that cross a row end are never read
-    rows = _run_sums(cols.ravel(), block)[: (h - block + 1) * w].reshape(h - block + 1, w)
-    sums = np.full((h - block + 1 + 2 * pad, w - block + 1 + 2 * pad), _OUTSIDE, np.int32)
-    sums[pad : pad + h - block + 1, pad : pad + w - block + 1] = rows[:, : w - block + 1]
+    gh, gw = h - block + 1, w - block + 1
+    cols = _run_sums(area.astype(np.int32), block)
+    # runs along the flat array, read w to a row: those that cross a row end are
+    # skipped, and the last row's last run is the array's last
+    runs = _run_sums(cols.ravel(), block)
+    rows = np.ndarray((gh, gw), np.int32, buffer=runs, strides=(w * runs.itemsize, runs.itemsize))
+    sums = np.empty((gh + 2 * pad, gw + 2 * pad), np.int32)
+    sums.fill(_OUTSIDE)
+    sums[pad : pad + gh, pad : pad + gw] = rows
     return sums
 
 
@@ -201,8 +229,7 @@ def _windows(flat: np.ndarray, side: int, row_w: int) -> np.ndarray:
     flat, row-major.
     """
     size = flat.itemsize
-    return np.ndarray((flat.size - (side - 1) * row_w - side + 1, side),
-                      np.dtype((np.void, side * size)),
+    return np.ndarray((flat.size - (side - 1) * row_w - side + 1, side), _packed_row(side * size),
                       buffer=flat, strides=(size, row_w * size))
 
 
@@ -251,7 +278,7 @@ def estimate_flow(
     sums_grid = _window_sums(area, bs, r)
     # each block's (2r + 1)^2 window sums, one per candidate, as a raster
     around = _windows(sums_grid.ravel(), 2 * r + 1, sums_grid.shape[1])
-    ones = np.ones(n, np.float32)
+    ones = _ones(n)
     cdx, cdy, raster = _candidates(r)
     k_all = cdx.size
 
@@ -264,23 +291,26 @@ def estimate_flow(
 
     used = sum_dx = sum_dy = 0
     for c0 in range(0, plan.origins.size, _CHUNK_BLOCKS):
-        origins = plan.origins[c0 : c0 + _CHUNK_BLOCKS]
+        chunk = slice(c0, c0 + _CHUNK_BLOCKS)
+        origins, corner = plan.origins[chunk], plan.corner[chunk]
         blocks = blocks_at[origins].view(np.uint8)
         sums = blocks.sum(axis=1, dtype=np.int64)
         # n^2 * variance, exact in integers
-        spread = n * np.square(blocks, dtype=np.int64).sum(axis=1) - sums * sums
-        rows = np.flatnonzero(spread >= limit)
-        if not rows.size:
-            continue
-        blocks, sums, sel = blocks[rows], sums[rows].astype(np.int32), c0 + rows
-        origins = origins[rows]
-        used += sel.size
+        textured = n * np.square(blocks, dtype=np.int64).sum(axis=1) - sums * sums >= limit
+        if not textured.all():  # a chunk all textured is used as it stands
+            rows = np.flatnonzero(textured)
+            if not rows.size:
+                continue
+            blocks, sums, origins, corner = blocks[rows], sums[rows], origins[rows], corner[rows]
+        sums = sums.astype(np.int32)
+        m = sums.size
+        used += m
 
         # successive elimination: |sum(block) - sum(window)| <= SAD
-        bound = np.take(around[plan.corner[sel]].view(np.int32), raster, axis=1)
+        bound = around[corner].view(np.int32).take(raster, axis=1)
         bound -= sums[:, None]
         np.abs(bound, out=bound)
-        line = np.arange(sel.size)
+        line = _LINE[:m]
         first = bound.argmin(axis=1)  # never outside the frame: (0, 0) is not
         least = bound[line, first]
         incumbent = cost(origins + plan.shift[first], blocks)
@@ -293,7 +323,7 @@ def estimate_flow(
             # (0, 0), first in order and always in the frame, and the next
             # smallest-bound candidates may lower the incumbent (a few
             # argmins cost less than argpartition)
-            seeds = np.zeros((_SEEDS, sel.size), np.intp)  # row 0 is (0, 0)
+            seeds = np.zeros((_SEEDS, m), np.intp)  # row 0 is (0, 0)
             held = np.zeros(seeds.shape, np.int32)
             bound[line, first] = _OUTSIDE
             for j in range(1, _SEEDS):
@@ -319,8 +349,8 @@ def estimate_flow(
             key *= k_all
             key += cand
             best = np.minimum.reduceat(key, np.searchsorted(flat, line * k_all)) % k_all
-        sum_dx += int(cdx[best].sum())
-        sum_dy += int(cdy[best].sum())
+        sum_dx += sum(cdx[best].tolist())
+        sum_dy += sum(cdy[best].tolist())
 
     if used:
         mean_dx, mean_dy = sum_dx / used, sum_dy / used

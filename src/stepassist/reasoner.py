@@ -177,7 +177,9 @@ class OracleReasoner:
     Corruption is keyed by (seed, moment timestamp), never by call order, so
     any moment's output is reproducible in isolation. Step errors pick
     uniformly among the other scripted steps, status errors among the other
-    three statuses, and proactive flips negate the ground-truth flag.
+    three statuses, and proactive flips negate the ground-truth flag. A
+    noiseless oracle, every rate 0, draws nothing: a draw in [0, 1) is never
+    below 0, so it plays back the ground truth without building a generator.
     """
 
     def __init__(
@@ -215,17 +217,19 @@ class OracleReasoner:
         step, status = self._ground_truth(t)
         proactive = any(iv.contains(t) for iv in self.intervals)
 
-        # string seeding is stable across processes, unlike hash()
-        rng = random.Random(f"{self.cfg.seed}:{t!r}")
-        if rng.random() < self.cfg.step_error_rate:
-            others = [s for s in self.step_labels if s != step]
-            if others:
-                step = others[rng.randrange(len(others))]
-        if rng.random() < self.cfg.status_error_rate:
-            others_s = [s for s in ExecutionStatus if s != status]
-            status = others_s[rng.randrange(len(others_s))]
-        if rng.random() < self.cfg.proactive_flip_rate:
-            proactive = not proactive
+        cfg = self.cfg
+        if cfg.step_error_rate or cfg.status_error_rate or cfg.proactive_flip_rate:
+            # string seeding is stable across processes, unlike hash()
+            rng = random.Random(f"{cfg.seed}:{t!r}")
+            if rng.random() < cfg.step_error_rate:
+                others = [s for s in self.step_labels if s != step]
+                if others:
+                    step = others[rng.randrange(len(others))]
+            if rng.random() < cfg.status_error_rate:
+                others_s = [s for s in ExecutionStatus if s != status]
+                status = others_s[rng.randrange(len(others_s))]
+            if rng.random() < cfg.proactive_flip_rate:
+                proactive = not proactive
         response = f"Guidance for {step} ({status.value})." if proactive else None
         return ReasonerOutput(step=step, status=status, proactive=proactive, response=response)
 

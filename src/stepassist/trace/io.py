@@ -208,8 +208,10 @@ def _read_file(path: Path | str) -> bytes:
 
     One open, and the file's type read from it: no second look-up of the
     path, and a FIFO or a device is a missing file, refused without blocking
-    or reading on without end. The file is read with ``os.read`` up to its
-    end, so a file that grew after the ``fstat``, or a short read, is never cut off.
+    or reading on without end. The first ``os.read`` asks for one byte more
+    than the ``fstat`` size; when it returns that size exactly, it met the
+    end, and the file took one read. Any other count reads on up to the end,
+    so a file that grew after the ``fstat``, or a short read, is never cut off.
     """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO opens without a writer
@@ -222,6 +224,8 @@ def _read_file(path: Path | str) -> bytes:
         if not stat.S_ISREG(st.st_mode):
             _fail(path, "missing file")
         data = os.read(fd, st.st_size + 1)
+        if len(data) == st.st_size:  # the size fstat gave, and no byte past it
+            return data
         # one byte finds the end without a buffer the size of the file; past the
         # size, each read asks for as much again as is held, so growth costs linear time
         size = 1
@@ -348,9 +352,10 @@ def load_session(path: str | Path) -> SessionTrace:
         annotations = annotations_from_obj(ann)
     except ValueError as exc:
         _fail(ann_path, str(exc))
-    # as a session_start is read: both codecs, then the header's rules, before any frame
-    if not (report := StreamCheck(Session(**header)).report).ok:
-        _fail(manifest_path, str(report))
+    # as a session_start is read: both codecs, then every rule that needs no record, the
+    # annotations' too, before any frame; the engine's refusal is the first of them
+    if not (report := StreamCheck(Session(**header, **annotations)).report).ok:
+        raise SessionFormatError(f"{root}: session failed validation\n{report}")
 
     frames: list[FrameRecord] = []
     prefix = os.path.join(root, "")

@@ -143,6 +143,15 @@ def test_scripted_structurer_ignores_prose_and_accepts_colon_prereqs():
     assert guide.steps[1].prerequisites == (1,)
 
 
+def test_scripted_structurer_names_a_guideline_without_a_task_line():
+    # an empty "Task:" line gives no label either
+    for raw in ("1. Soap the mug\n2. Rinse the mug\n", "Task:   \n1. Soap the mug\n"):
+        guide = ScriptedStructurer().structure(raw)
+        assert guide.task == "Untitled task"
+        assert guide.steps[0].title == "Soap the mug"
+        assert guide.render().splitlines()[0] == "Task: Untitled task"
+
+
 def test_render_includes_prereqs_and_details():
     text = ScriptedStructurer().structure(CORPUS_DOCS["tea"]).render()
     assert text.splitlines()[0] == "Task: Brew tea"

@@ -304,6 +304,9 @@ def check_entry_points_agree(mutations) -> None:
 @example(mutations=[("annotations", "not_an_object")])
 # a blank step label once passed the disk and broke the engine's guideline
 @example(mutations=[("annotations", "empty_step")])
+# load_session once checked the header's rules alone before any frame, so its report of a
+# bad header left out the blank step label the engine names first
+@example(mutations=[("header", "height", 0), ("annotations", "empty_step")])
 def test_disk_engine_and_wire_refuse_the_same_sessions(mutations):
     check_entry_points_agree(mutations)
 

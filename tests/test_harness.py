@@ -887,6 +887,13 @@ def test_config_validation_failures(tmp_path):
         ReasonerSpec(kind="remote")
     with pytest.raises(ValueError, match="detector kind"):
         DetectorSpec(kind="lidar")
+    # config_from_dict refuses inf before a spec is built; a spec built in Python refuses
+    # it itself, or settimeout would overflow mid-session
+    for spec, owner in [(ReasonerSpec, "reasoner"), (StructurerSpec, "structurer")]:
+        with pytest.raises(ValueError, match=f"^{owner} timeout must be finite, got inf$"):
+            spec(timeout=math.inf)
+        with pytest.raises(ValueError, match=f"^{owner} timeout must be positive, got nan$"):
+            spec(timeout=math.nan)
     with pytest.raises(ValueError, match="does not exist"):
         PipelineConfig(corpus_dir=str(tmp_path / "nope"))
     with pytest.raises(ValueError, match="config sampler must be an object"):

@@ -224,6 +224,59 @@ def test_matches_oracle_at_the_benchmark_geometry():
     assert motion._plan.cache_info().maxsize is not None
 
 
+CHUNK_KINDS = ["textured", "mixed", "untextured"]
+
+
+@st.composite
+def chunked_cases(draw):
+    """Read-only frames and a region of more than one chunk of blocks, each chunk's
+    blocks all textured, all flat, or some of each, with the texture mask to expect."""
+    block, radius = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    cols = draw(st.integers(6, 13))
+    rows = draw(st.integers(motion._CHUNK_BLOCKS // cols + 1, 13))
+    kinds = draw(st.lists(st.sampled_from(CHUNK_KINDS), min_size=3, max_size=3))
+    mask = []
+    for i in range(rows * cols):
+        kind = kinds[min(i // motion._CHUNK_BLOCKS, 2)]
+        mask.append(kind == "textured" or kind == "mixed" and draw(st.booleans()))
+    margins = [draw(st.integers(0, radius + 1)) for _ in range(4)]  # left, top, right, bottom
+    width, height = margins[0] + cols * block + margins[2], margins[1] + rows * block + margins[3]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pad = radius + 1
+    master = rng.integers(0, 256, (height + 2 * pad, width + 2 * pad), dtype=np.uint8)
+    a = master[pad : pad + height, pad : pad + width].copy()
+    x0, y0 = margins[0], margins[1]
+    for i, textured in enumerate(mask):
+        by, bx = y0 + i // cols * block, x0 + i % cols * block
+        if textured:  # two pixels far apart: the variance is well over 1.0
+            a[by, bx], a[by, bx + 1] = 0, 255
+        else:
+            a[by : by + block, bx : bx + block] = draw(st.integers(0, 255))
+    if draw(st.booleans()):  # b is a moved by up to a pixel past the radius, edges repeated
+        dx, dy = draw(st.integers(-pad, pad)), draw(st.integers(-pad, pad))
+        sx = np.clip(np.arange(width) - dx, 0, width - 1)
+        sy = np.clip(np.arange(height) - dy, 0, height - 1)
+        b = a[np.ix_(sy, sx)]
+    else:
+        b = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    for frame in (a, b):
+        frame.flags.writeable = False
+    region = (x0, y0, cols * block, rows * block)
+    return a, b, region, FlowConfig(block=block, search_radius=radius), mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=chunked_cases())
+def test_matches_oracle_over_several_chunks_of_each_texture(case):
+    # a chunk all textured is used as it stands, one with a flat block has its
+    # textured rows copied out, and one all flat is skipped
+    a, b, region, cfg, mask = case
+    got = estimate_flow(a, b, region, cfg)
+    assert (got.dx, got.dy, got.blocks_used, got.blocks_total) == oracle_flow(a, b, region, cfg)
+    assert got.blocks_total == len(mask) > motion._CHUNK_BLOCKS
+    assert got.blocks_used == sum(mask)
+
+
 def test_costs_stay_exact_at_the_largest_block():
     # one 256 px block with two candidates, costing n * 255 and n * 255 - 1
     # (n = 256^2): the largest SAD of any accepted config, and one below it

@@ -20,6 +20,7 @@ from stepassist.reasoner import (
     assemble_prompt,
     parse_output,
 )
+from stepassist import reasoner as reasoner_module
 from stepassist.harness.server import POLL_S
 from stepassist.httpchat import ChatEndpointError
 from stepassist.reasoner import flag_off_guideline
@@ -191,8 +192,13 @@ def test_flag_off_guideline():
 # -- scripted oracle -----------------------------------------------------------
 
 
-def test_noiseless_oracle_plays_back_ground_truth(standard_trace):
-    oracle = OracleReasoner.from_trace(standard_trace)
+def test_noiseless_oracle_plays_back_ground_truth(standard_trace, monkeypatch):
+    # every rate 0: no draw can fall below 0, so no generator is built at all
+    def no_generator(*args):
+        raise AssertionError("a noiseless oracle built a random.Random")
+
+    monkeypatch.setattr(reasoner_module.random, "Random", no_generator)
+    oracle = OracleReasoner.from_trace(standard_trace, OracleConfig(seed=3))
     for pair in trace_pairs(standard_trace):
         out = oracle.reason_at(pair.t)
         seg = standard_trace.segment_at(pair.t)
@@ -294,6 +300,44 @@ def test_proactive_flip_negates_ground_truth(steady_trace):
     clean = OracleReasoner.from_trace(steady_trace)
     for t in (0.5, 3.0, 10.0, 21.5):
         assert flipped.reason_at(t).proactive == (not clean.reason_at(t).proactive)
+
+
+# (t, step, status, proactive) from a noisy oracle on the steady fixture, one list per
+# config: with any rate above 0 the seeded draws, and so these outputs, stay as they are
+NOISY_DRAWS = [
+    (OracleConfig(step_error_rate=0.3, status_error_rate=0.3, proactive_flip_rate=0.3, seed=4), [
+        (0.0, "Lay out parts", "step_transition", True),
+        (2.5, "Lay out parts", "in_progress", False),
+        (7.25, "Lay out parts", "in_progress", True),
+        (14.5, "Attach legs", "step_transition", False),
+        (21.0, "Attach legs", "in_progress", True),
+        (33.5, "Mount shelf", "in_progress", True),
+        (48.0, "Mount shelf", "just_start", True),
+        (60.0, "Check stability", "just_start", True),
+        (71.5, "Lay out parts", "just_start", False),
+    ]),
+    (OracleConfig(status_error_rate=0.5, seed=9), [
+        (0.0, "Lay out parts", "just_start", True),
+        (2.5, "Lay out parts", "in_progress", False),
+        (7.25, "Lay out parts", "in_progress", False),
+        (14.5, "Attach legs", "in_progress", False),
+        (21.0, "Attach legs", "just_start", True),
+        (33.5, "Mount shelf", "in_progress", True),
+        (48.0, "Tighten screws", "in_progress", True),
+        (60.0, "Check stability", "step_transition", True),
+        (71.5, "Check stability", "about_to_finish", False),
+    ]),
+]
+
+
+@pytest.mark.parametrize("cfg, draws", NOISY_DRAWS, ids=["every-rate", "status-only"])
+def test_a_noisy_oracle_keeps_its_seeded_draws(steady_trace, cfg, draws):
+    oracle = OracleReasoner.from_trace(steady_trace, cfg)
+    for t, step, status, proactive in draws:
+        out = oracle.reason_at(t)
+        assert (out.step, out.status.value, out.proactive) == (step, status, proactive)
+        want = f"Guidance for {step} ({status})." if proactive else None
+        assert out.response == want
 
 
 def test_oracle_config_validation(steady_trace):

@@ -378,6 +378,47 @@ def test_a_server_that_stops_reading_names_the_stalled_session(standard_trace):
             peer.join(timeout=5)
 
 
+def test_a_server_that_never_acks_session_end_names_the_wait(monkeypatch):
+    # a peer that acks the start and every pair, then after session_end keeps sending
+    # pair acks, so the reader is never silent but no session_end ack comes
+    thread_faults = []
+    monkeypatch.setattr(threading, "excepthook", thread_faults.append)
+    release = threading.Event()
+    pair_ack = b'{"type": "ack", "of": "pair"}\n'
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def ack_all_but_the_end():
+            conn, _ = listener.accept()
+            with conn:
+                for raw in conn.makefile("rb"):
+                    msg = json.loads(raw)
+                    if msg["type"] == "session_start":
+                        conn.sendall(b'{"type": "ack", "of": "session_start"}\n')
+                    elif msg["type"] == "frame" and msg["slot"] == "b":
+                        conn.sendall(pair_ack)
+                    elif msg["type"] == "session_end":
+                        break
+                while not release.wait(0.05):
+                    conn.sendall(pair_ack)
+
+        peer = threading.Thread(target=ack_all_but_the_end, daemon=True)
+        peer.start()
+        trace = generate_synthetic(shelf_script())
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match=r"^session 'acked' timed out after 0\.5s "
+                               "waiting for the session_end ack$"):
+                stream_session(trace, *listener.getsockname(), session_id="acked", timeout=0.5)
+            assert time.monotonic() - started < 5
+        finally:
+            release.set()
+            peer.join(timeout=5)
+    assert not peer.is_alive()
+    assert thread_faults == []
+
+
 def test_a_server_that_never_answers_names_the_silent_session(standard_trace):
     # a peer that drains its input and sends nothing; the paced send outlasts the timeout
     with socket.socket() as listener:

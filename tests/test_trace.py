@@ -205,6 +205,10 @@ def damage(root, case):
         manifest["frames"][0]["slot"] = "c"
     elif case == "frame-not-pgm":
         (root / "frames" / frame_file_name(0, "b")).write_bytes(b"GIF89a")
+    elif case == "frame-pgm-width-0":
+        (root / "frames" / frame_file_name(0, "b")).write_bytes(b"P5\n0 4\n255\n")
+    elif case == "frame-file-nul":
+        manifest["frames"][0]["file"] = "frames/000000_a\x00.pgm"
     elif case == "imu-header":
         imu_rows[0] = "t,gx,gy,gz"
     elif case == "imu-row-fields":
@@ -246,7 +250,7 @@ def damage(root, case):
 
 MANIFEST_DAMAGE = (
     "manifest-key", "frame-entry-key", "frames-number", "frame-entry-number", "frame-file-number",
-    "frame-slot-c",
+    "frame-slot-c", "frame-file-nul",
 )
 
 
@@ -259,6 +263,9 @@ LOAD_REFUSALS = {
     "frame-entry-key": "manifest.json: frame entry 1 missing key 'slot'",
     "frame-slot-c": "manifest.json: frame entry 0: frame slot must be 'a' or 'b', got 'c'",
     "frame-not-pgm": "sess: frame file 'frames/000000_b.pgm': not a PGM image",
+    "frame-pgm-width-0": "sess: frame file 'frames/000000_b.pgm': bad PGM dimensions 0x4",
+    # a name the system cannot open (os.open's ValueError) is a missing file too
+    "frame-file-nul": "sess: frame file 'frames/000000_a\\x00.pgm': missing file",
     "imu-header": "imu.csv:1: bad header",
     "imu-row-fields": "imu.csv:3: expected 4 fields, got 3",
     "non-numeric-field": "imu.csv:3: non-numeric field",
@@ -270,7 +277,8 @@ LOAD_REFUSALS = {
     "height-bool": "manifest.json: height must be an integer, got True",
     "pair-gap-text": "manifest.json: pair_gap must be a number, got 'x'",
     "pair-gap-number-text": "manifest.json: pair_gap must be a number, got '0.1'",
-    "pair-gap-nan": "manifest.json: [bad_pair_gap] pair gap nan is not positive",
+    # the rules that need no record are checked over the header and annotations together
+    "pair-gap-nan": "sess: session failed validation\n[bad_pair_gap] pair gap nan is not positive",
     "hand-box-x-null": "annotations.json: hand_boxes['0']: x must be an integer, got None",
     "hand-box-x-text": "annotations.json: hand_boxes['0']: x must be an integer, got 'abc'",
     "hand-box-x-fraction": "annotations.json: hand_boxes['0']: x must be an integer, got 1.9",
@@ -401,6 +409,24 @@ def test_a_frame_file_is_read_to_its_end(tmp_path, monkeypatch, shrink):
         (fr.timestamp, fr.pair_id, fr.slot) for fr in want.frames]
     for a, b in zip(got.frames, want.frames):
         assert a.image.shape == b.image.shape and np.array_equal(a.image, b.image)
+
+
+def test_a_load_reads_each_file_once(tmp_path, monkeypatch):
+    # a first read that returns the fstat size, asked for one byte more, met the end
+    root = write_session(generate_synthetic(small_script()), tmp_path / "sess")
+    want = load_session(root)
+    read, calls = os.read, []
+
+    def counted(fd, size):
+        calls.append(fd)
+        return read(fd, size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trace_io.os, "read", counted)
+        got = load_session(root)
+    assert len(calls) == len(want.frames) + 3  # and manifest.json, annotations.json, imu.csv
+    for a, b in zip(got.frames, want.frames):
+        assert np.array_equal(a.image, b.image)
 
 
 def test_an_empty_frame_file_is_not_a_pgm_image(tmp_path):
